@@ -7,7 +7,7 @@
 //! [`AuditFeed`](lotus_dataflow::AuditFeed) is attached, every lock
 //! transition, condvar wait/notify, committed send/receive, death
 //! marking and redispatch is recorded as a
-//! [`SyncEvent`](lotus_dataflow::SyncEvent); [`analyze`] rebuilds the
+//! [`lotus_dataflow::SyncEvent`]; [`analyze`] rebuilds the
 //! run's happens-before partial order from those events with vector
 //! clocks ([`vc`]) and judges it against the native protocol's
 //! synchronization contract:

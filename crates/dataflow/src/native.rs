@@ -1,15 +1,12 @@
 //! The native execution backend: the DataLoader protocol on real OS
 //! threads with real blocking channels and a monotonic wall clock.
 //!
-//! [`NativeBackend`] runs the *same* protocol as the simulated engine in
-//! `loader.rs` — strict round-robin index dispatch, per-worker index
-//! queues, one shared (optionally bounded) data queue, in-order
-//! consumption with a pinned out-of-order cache, liveness polling with
-//! dead-worker redispatch, and in-band `ExceptionWrapper`-style errors —
-//! but every queue is a [`NativeQueue`] (mutex + condvar channel), every
-//! worker is a `std::thread`, and every timestamp handed to the
-//! [`Tracer`] comes from a shared [`WallClock`]. Kernels run on real
-//! pixels, so the resulting LotusTrace measures the actual Rust
+//! [`NativeBackend`] runs the DataLoader protocol of `protocol.rs` — the
+//! same dispatcher and main loop the simulated engine runs — through
+//! [`NativeDriver`]: every queue is a [`NativeQueue`] (mutex + condvar
+//! channel), every worker is a `std::thread`, and every timestamp handed
+//! to the [`Tracer`] comes from a shared [`WallClock`]. Kernels run on
+//! real pixels, so the resulting LotusTrace measures the actual Rust
 //! preprocessing code rather than the cost model.
 //!
 //! Wall-clock timestamps are nondeterministic, so the backend preserves
@@ -31,23 +28,25 @@
 //! the instrumentation's cost is real wall time, already included in the
 //! measured spans.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use lotus_data::mix_seed;
 use lotus_sim::{FaultPlan, Span, Time, TimeSource, WallClock};
-use lotus_transforms::{Batch, Collate, PipelineError, TransformCtx, TransformObserver};
+use lotus_transforms::{Batch, PipelineError, TransformObserver};
 use lotus_uarch::CpuThread;
 
 use crate::audit::{AuditFeed, AuditMutation, CvKind, SyncOp};
 use crate::backend::ExecutionBackend;
-use crate::config::{DataLoaderConfig, GpuConfig};
-use crate::dataset::{BatchSampler, Dataset};
+use crate::config::GpuConfig;
+use crate::dataset::Dataset;
 use crate::error::JobError;
-use crate::loader::{batch_cost_hints, worker_os_pid, JobReport, TrainingJob, MAIN_OS_PID};
-use crate::policy::{BatchRef, DispatchContext, Refill, SchedulingPolicy};
+use crate::loader::{JobReport, LoaderMutation, TrainingJob};
+use crate::protocol::{
+    kill_times, run_main_loop, worker_os_pid, BatchPayload, Depths, Driver, Envelope, EpochPlan,
+    FetchObserver, Fetcher, WorkerMsg, MAIN_OS_PID,
+};
 use crate::tracer::Tracer;
 
 /// How long a worker blocked on a full data queue sleeps between
@@ -56,9 +55,6 @@ const PUSH_RETRY: Duration = Duration::from_millis(10);
 
 /// Audit object name of the worker-liveness lock.
 const LIVENESS_OBJ: &str = "liveness";
-
-/// Audit object name of the dispatcher (owns redispatch decisions).
-const DISPATCHER_OBJ: &str = "dispatcher";
 
 fn audit_rec(audit: Option<&AuditFeed>, obj: &str, op: SyncOp) {
     if let Some(feed) = audit {
@@ -587,45 +583,20 @@ impl<T> NativeQueue<T> {
     }
 }
 
-/// Message on a per-worker index queue (PyTorch's index batch / `None`
-/// shutdown sentinel).
-enum NativeMsg {
-    Batch { id: u64, indices: Vec<u64> },
-    Shutdown,
-}
-
-struct NativePayload {
-    bytes: u64,
-    len: usize,
-}
-
-/// A preprocessed batch (or its in-band error) on the shared data queue.
-struct NativeEnvelope {
-    batch_id: u64,
-    payload: Result<NativePayload, PipelineError>,
-    /// Wall time at which the fetch finished (== the `[T1]` record end).
-    produced_at: Time,
-    /// Wall duration of the whole fetch — fed back to cost-aware
-    /// scheduling policies on return.
-    fetch: Span,
-    worker: usize,
-    pinned: bool,
-}
-
 /// Forwards transform completions to the tracer with wall-clock spans.
 ///
 /// The observer callbacks fire synchronously after each transform, so
 /// consecutive clock reads bracket each op exactly; the virtual-time
 /// arguments the dataset passes are ignored.
-struct WallOpBridge<'a> {
+struct WallOpBridge<'a, C> {
     tracer: &'a dyn Tracer,
-    clock: &'a WallClock,
+    clock: &'a C,
     pid: u32,
     batch_id: u64,
     mark: Time,
 }
 
-impl TransformObserver for WallOpBridge<'_> {
+impl<C: TimeSource> TransformObserver for WallOpBridge<'_, C> {
     fn on_transform(&mut self, name: &str, _start: Time, _elapsed: Span) {
         let now = self.clock.now();
         let _overhead = self.tracer.on_op(
@@ -639,151 +610,22 @@ impl TransformObserver for WallOpBridge<'_> {
     }
 }
 
-/// Dispatch state — the native twin of the simulated engine's
-/// `Dispatcher`, sharing its semantics: a pluggable
-/// [`SchedulingPolicy`] picks each batch's live worker (round-robin —
-/// PyTorch's `_worker_queue_idx_cycle` — by default), orphans are
-/// redispatched in batch-id order, and refill counts come from the
-/// policy's quota clamped to the protocol's in-flight bound.
-struct NativeDispatcher {
-    batch_iter: std::iter::Enumerate<std::vec::IntoIter<Vec<u64>>>,
-    redispatch: VecDeque<(u64, Vec<u64>)>,
-    policy: Box<dyn SchedulingPolicy>,
-    hints: Vec<Option<f64>>,
-    prefetch_factor: usize,
-    dead: Vec<bool>,
-    in_flight: HashMap<u64, (usize, Vec<u64>)>,
-}
-
-impl NativeDispatcher {
-    fn new(
-        batches: Vec<Vec<u64>>,
-        workers: usize,
-        loader: &DataLoaderConfig,
-        hints: Vec<Option<f64>>,
-    ) -> NativeDispatcher {
-        NativeDispatcher {
-            batch_iter: batches.into_iter().enumerate(),
-            redispatch: VecDeque::new(),
-            policy: loader.policy.build(workers, loader.prefetch_factor),
-            hints,
-            prefetch_factor: loader.prefetch_factor,
-            dead: vec![false; workers],
-            in_flight: HashMap::new(),
-        }
+impl<C: TimeSource> FetchObserver for WallOpBridge<'_, C> {
+    fn mark(&self, _cpu: &CpuThread) -> Time {
+        self.clock.now()
     }
 
-    fn alive(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
+    fn fault_injected(&mut self, op: &str, _cpu: &CpuThread) {
+        let _overhead =
+            self.tracer
+                .on_fault_injected(self.pid, self.batch_id, op, self.clock.now());
     }
 
-    fn send_next(
-        &mut self,
-        tracer: &dyn Tracer,
-        clock: &WallClock,
-        index_qs: &[NativeQueue<NativeMsg>],
-        data_q: &NativeQueue<NativeEnvelope>,
-    ) -> Option<usize> {
-        let (next, redispatch) = match self.redispatch.pop_front() {
-            Some(item) => (Some(item), true),
-            None => (
-                self.batch_iter.next().map(|(id, idx)| (id as u64, idx)),
-                false,
-            ),
-        };
-        if let Some((id, indices)) = next {
-            if self.alive() == 0 {
-                self.redispatch.push_front((id, indices));
-                return None;
-            }
-            let depths: Vec<usize> = index_qs.iter().map(NativeQueue::len).collect();
-            let placement = self.policy.place(
-                &BatchRef {
-                    id,
-                    indices: &indices,
-                    hint: self.hints.get(id as usize).copied().flatten(),
-                },
-                &DispatchContext {
-                    queue_depths: &depths,
-                    dead: &self.dead,
-                    in_flight: self.in_flight.len(),
-                    data_queue_depth: data_q.len(),
-                    prefetch_factor: self.prefetch_factor,
-                    redispatch,
-                },
-            );
-            let w = placement.worker;
-            assert!(
-                !self.dead[w],
-                "scheduling policy placed batch {id} on dead worker {w}"
-            );
-            index_qs[w].push(NativeMsg::Batch {
-                id,
-                indices: indices.clone(),
-            });
-            let _overhead =
-                tracer.on_batch_dispatched(id, worker_os_pid(w), &indices, redispatch, clock.now());
-            if let Some(from) = placement.stolen_from.filter(|&from| from != w) {
-                let _overhead =
-                    tracer.on_batch_stolen(id, worker_os_pid(from), worker_os_pid(w), clock.now());
-            }
-            if let Some(lane) = placement.lane {
-                let _overhead =
-                    tracer.on_lane_assigned(id, lane.as_str(), worker_os_pid(w), clock.now());
-            }
-            self.in_flight.insert(id, (w, indices));
-            return Some(w);
-        }
-        None
-    }
-
-    /// Feeds a returned batch's observed fetch time back to the policy.
-    fn batch_returned(&mut self, env: &NativeEnvelope) {
-        if let Some((worker, indices)) = self.in_flight.remove(&env.batch_id) {
-            self.policy
-                .on_batch_returned(worker, &indices, env.fetch.as_nanos());
-        }
-    }
-
-    /// Asks the policy how many batches to dispatch after a return,
-    /// clamping to the protocol's hard in-flight bound.
-    fn refill_quota(
-        &mut self,
-        index_qs: &[NativeQueue<NativeMsg>],
-        data_q: &NativeQueue<NativeEnvelope>,
-    ) -> Refill {
-        let depths: Vec<usize> = index_qs.iter().map(NativeQueue::len).collect();
-        let mut refill = self.policy.refill(&DispatchContext {
-            queue_depths: &depths,
-            dead: &self.dead,
-            in_flight: self.in_flight.len(),
-            data_queue_depth: data_q.len(),
-            prefetch_factor: self.prefetch_factor,
-            redispatch: false,
-        });
-        let bound = (self.prefetch_factor * self.dead.len()).saturating_sub(self.in_flight.len());
-        refill.count = refill.count.min(bound);
-        refill
-    }
-
-    fn mark_dead(&mut self, worker: usize) -> Vec<u64> {
-        self.dead[worker] = true;
-        self.policy.on_worker_died(worker);
-        let mut orphans: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, (w, _))| *w == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        orphans.sort_unstable();
-        for &id in &orphans {
-            // The ids were collected from `in_flight` just above, with no
-            // intervening removal.
-            #[allow(clippy::expect_used)]
-            let (_, indices) = self.in_flight.remove(&id).expect("orphan is in flight");
-            self.redispatch.push_back((id, indices));
-        }
-        orphans
+    fn straggle(&mut self, _cpu: &mut CpuThread, start: Time, factor: f64) {
+        // Sleep out the extra factor of the sample's real elapsed time, as
+        // the simulated engine idles the virtual core.
+        let elapsed = self.clock.now().since(start);
+        std::thread::sleep(duration_of(elapsed.mul_f64(factor - 1.0)));
     }
 }
 
@@ -791,97 +633,64 @@ fn duration_of(span: Span) -> Duration {
     Duration::from_nanos(span.as_nanos())
 }
 
-fn emit_gauge(tracer: &dyn Tracer, clock: &WallClock, name: &str, value: f64) {
+fn emit_gauge(tracer: &dyn Tracer, clock: &impl TimeSource, name: &str, value: f64) {
     let _overhead = tracer.on_gauge(name, value, clock.now());
 }
 
-fn emit_dispatch_gauges(
-    tracer: &dyn Tracer,
-    clock: &WallClock,
-    audit: Option<&AuditFeed>,
-    index_qs: &[NativeQueue<NativeMsg>],
-    sent_to: Option<usize>,
-    in_flight: usize,
-) {
-    if let Some(w) = sent_to {
-        let gauge = format!("queue_depth.index_queue_{w}");
-        let depth = index_qs[w].audited_len(&gauge);
-        emit_gauge(tracer, clock, &gauge, depth as f64);
-        audit_rec(
-            audit,
-            "in_flight_batches",
-            SyncOp::Gauge {
-                value: in_flight as f64,
-            },
-        );
-        emit_gauge(tracer, clock, "in_flight_batches", in_flight as f64);
-    }
-}
-
-/// Everything a worker thread borrows from the run.
-struct WorkerShared<'a> {
-    clock: &'a WallClock,
+/// What the run's threads share: the clock, the queues, the
+/// worker-liveness lock and the shutdown flag. A reference to it is the
+/// native backend's [`Driver`]; tracer overhead is ignored there, since
+/// the instrumentation's cost is real wall time, already inside the
+/// measured spans.
+struct NativeDriver<'a, C> {
+    clock: C,
     tracer: &'a dyn Tracer,
     dataset: &'a dyn Dataset,
-    data_q: &'a NativeQueue<NativeEnvelope>,
+    index_qs: Vec<NativeQueue<WorkerMsg>>,
+    data_q: NativeQueue<Envelope>,
     /// Per-worker death flags, shared with the main thread. A worker's
     /// envelope push is atomic with a check of its own flag, so once the
     /// main thread marks a worker dead (it only does so while holding
     /// this lock *and* observing an empty data queue) that worker can
     /// never deliver again — redispatch cannot double-deliver a batch.
-    liveness: &'a Mutex<Vec<bool>>,
+    liveness: Mutex<Vec<bool>>,
     /// Raised when the main thread exits early; unsticks workers blocked
     /// on a full data queue.
-    shutdown: &'a AtomicBool,
+    shutdown: AtomicBool,
     /// Synchronization-event collector for `lotus audit`, when attached.
     audit: Option<&'a AuditFeed>,
     /// The seeded concurrency bug this run enacts.
     audit_mutation: AuditMutation,
+    options: NativeOptions,
+    gpu: GpuConfig,
+    /// Kill times in the fault plan are wall offsets from the run's start.
+    kill_times: Vec<Option<Time>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn native_worker_loop(
-    shared: &WorkerShared<'_>,
+fn native_worker_loop<C: TimeSource>(
+    shared: &NativeDriver<'_, C>,
     worker: usize,
     machine: &Arc<lotus_uarch::Machine>,
     hw_profiler: Option<Arc<lotus_uarch::HwProfiler>>,
     feed: Option<Arc<lotus_uarch::KernelSpanFeed>>,
-    index_q: &NativeQueue<NativeMsg>,
     seed: u64,
     faults: &FaultPlan,
 ) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let WorkerShared {
-        clock,
-        tracer,
-        dataset,
-        data_q,
-        liveness,
-        shutdown,
-        audit,
-        audit_mutation,
-    } = *shared;
+    let (clock, tracer, data_q) = (&shared.clock, shared.tracer, &shared.data_q);
+    let (liveness, shutdown) = (&shared.liveness, &shared.shutdown);
+    let (audit, audit_mutation) = (shared.audit, shared.audit_mutation);
+    let (index_q, kill_time) = (&shared.index_qs[worker], shared.kill_times[worker]);
     if let Some(feed) = audit {
         feed.register_thread(worker_os_pid(worker));
     }
     // The CpuThread carries the virtual cost model through the dataset
     // and transform code; its cursor is ignored here — only the wall
     // clock times anything.
-    let mut cpu = CpuThread::new(Arc::clone(machine));
-    if let Some(p) = hw_profiler {
-        cpu.attach_profiler(p);
-    }
+    let mut fetcher = Fetcher::new(machine, hw_profiler, seed, worker);
     if let Some(f) = feed {
-        cpu.attach_native_feed(f);
+        fetcher.cpu.attach_native_feed(f);
     }
-    let mut rng = StdRng::seed_from_u64(mix_seed(seed, 1_000 + worker as u64));
-    let collate = Collate::new(machine);
     let os_pid = worker_os_pid(worker);
-    // Kill times in the fault plan are interpreted as wall offsets from
-    // the run's start.
-    let kill_time = faults.kill_time(&format!("dataloader{worker}"));
 
     loop {
         let msg = match kill_time {
@@ -897,7 +706,7 @@ fn native_worker_loop(
             }
             None => index_q.pop(),
         };
-        let NativeMsg::Batch { id, indices } = msg else {
+        let WorkerMsg::Batch { id, indices } = msg else {
             break;
         };
         let index_gauge = format!("queue_depth.index_queue_{worker}");
@@ -917,60 +726,7 @@ fn native_worker_loop(
         // `ExceptionWrapper` protocol — instead of tearing down this
         // thread and poisoning every shared queue behind it.
         let fetch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut samples = Vec::with_capacity(indices.len());
-            let mut failure: Option<PipelineError> = None;
-            for &i in &indices {
-                if let Some(op) = faults.sample_error(i) {
-                    let _overhead = tracer.on_fault_injected(os_pid, id, op, clock.now());
-                    failure = Some(PipelineError::Injected {
-                        op: op.to_string(),
-                        index: i,
-                    });
-                    break;
-                }
-                let item_start = clock.now();
-                let mut tctx = TransformCtx {
-                    cpu: &mut cpu,
-                    rng: &mut rng,
-                };
-                let fetched = dataset.get_item(i, &mut tctx, &mut bridge);
-                let slowdown = faults.sample_slowdown(i);
-                if slowdown > 1.0 {
-                    // A straggler sample: dilate its real elapsed time by
-                    // sleeping out the extra factor, as the simulated
-                    // engine idles the virtual core.
-                    let elapsed = clock.now().since(item_start);
-                    std::thread::sleep(duration_of(elapsed.mul_f64(slowdown - 1.0)));
-                }
-                match fetched {
-                    Ok(sample) => samples.push(sample),
-                    Err(e) => {
-                        // Ship the error in-band; the worker keeps running.
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => {
-                    let batch_len = samples.len();
-                    let collated = {
-                        let mut tctx = TransformCtx {
-                            cpu: &mut cpu,
-                            rng: &mut rng,
-                        };
-                        collate.apply(samples, &mut tctx)
-                    };
-                    if collated.is_ok() {
-                        // The bridge's mark sits at the end of the last
-                        // sample's last transform, so this records the real
-                        // collate span.
-                        bridge.on_transform(&Collate::display_name(batch_len), start, Span::ZERO);
-                    }
-                    collated
-                }
-            }
+            fetcher.fetch(shared.dataset, faults, &mut bridge, &indices)
         }));
         let batch: Result<Batch, PipelineError> = match fetch {
             Ok(outcome) => outcome,
@@ -984,9 +740,9 @@ fn native_worker_loop(
             }
         };
         let fetch_end = clock.now();
-        let mut envelope = NativeEnvelope {
+        let mut envelope = Envelope {
             batch_id: id,
-            payload: batch.map(|b| NativePayload {
+            payload: batch.map(|b| BatchPayload {
                 bytes: b.bytes,
                 len: b.len,
             }),
@@ -1071,251 +827,74 @@ fn native_worker_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn native_main_loop(
-    shared: &WorkerShared<'_>,
-    options: &NativeOptions,
-    index_qs: &[NativeQueue<NativeMsg>],
-    loader: &DataLoaderConfig,
-    gpu: &GpuConfig,
-    batches: Vec<Vec<u64>>,
-    hints: Vec<Option<f64>>,
-    faults: &FaultPlan,
-) -> Result<(), JobError> {
-    let WorkerShared {
-        clock,
-        tracer,
-        data_q,
-        liveness,
-        shutdown,
-        audit,
-        ..
-    } = *shared;
-    let num_batches = batches.len() as u64;
-    let workers = index_qs.len();
-    let mut dispatcher = NativeDispatcher::new(batches, workers, loader, hints);
-    let kill_times: Vec<Option<Time>> = (0..workers)
-        .map(|w| faults.kill_time(&format!("dataloader{w}")))
-        .collect();
-
-    // Initial prefetch: `prefetch_factor` index batches per worker.
-    for _ in 0..loader.prefetch_factor * workers {
-        let sent = dispatcher.send_next(tracer, clock, index_qs, data_q);
-        emit_dispatch_gauges(
-            tracer,
-            clock,
-            audit,
-            index_qs,
-            sent,
-            dispatcher.in_flight.len(),
-        );
+impl<C: TimeSource> Driver for &NativeDriver<'_, C> {
+    fn now(&self) -> Time {
+        self.clock.now()
     }
 
-    let mut cache: HashMap<u64, NativeEnvelope> = HashMap::new();
-    for rcvd in 0..num_batches {
-        let wait_start = clock.now();
-        let env = 'recv: {
-            if let Some(env) = cache.remove(&rcvd) {
-                // Served from the reorder buffer: the paper's 1 µs
-                // "no waiting" marker, with the queue delay measured to
-                // the moment the wait began.
-                let _overhead = tracer.on_batch_wait(
-                    MAIN_OS_PID,
-                    rcvd,
-                    wait_start,
-                    Span::from_micros(1),
-                    true,
-                    wait_start.saturating_since(env.produced_at),
-                );
-                audit_rec(
-                    audit,
-                    "pinned_cache_batches",
-                    SyncOp::Gauge {
-                        value: cache.len() as f64,
-                    },
-                );
-                emit_gauge(tracer, clock, "pinned_cache_batches", cache.len() as f64);
-                break 'recv env;
-            }
-            loop {
-                let popped = match data_q.pop_timeout(duration_of(options.status_check)) {
-                    Some(env) => Some(env),
-                    None => {
-                        // Liveness check. Marking happens under the
-                        // liveness lock with the data queue observed
-                        // empty, so no marked worker can have an
-                        // envelope in flight.
-                        let mut newly_dead = Vec::new();
-                        let recheck = {
-                            let mut dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                            let recheck = match data_q.try_pop() {
-                                Some(env) => Some(env),
-                                None => {
-                                    let now = clock.now();
-                                    for w in 0..workers {
-                                        if !dead[w] && kill_times[w].is_some_and(|at| now >= at) {
-                                            dead[w] = true;
-                                            audit_rec(
-                                                audit,
-                                                LIVENESS_OBJ,
-                                                SyncOp::MarkDead { worker: w },
-                                            );
-                                            newly_dead.push(w);
-                                        }
-                                    }
-                                    None
-                                }
-                            };
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                            recheck
-                        };
-                        if recheck.is_none() {
-                            for w in newly_dead {
-                                let orphans = dispatcher.mark_dead(w);
-                                let _overhead =
-                                    tracer.on_worker_died(worker_os_pid(w), clock.now());
-                                if dispatcher.alive() == 0 {
-                                    shutdown.store(true, Ordering::Release);
-                                    return Err(JobError::AllWorkersDied {
-                                        workers,
-                                        outstanding: dispatcher.in_flight.len()
-                                            + dispatcher.redispatch.len(),
-                                    });
-                                }
-                                for id in orphans {
-                                    audit_rec(
-                                        audit,
-                                        DISPATCHER_OBJ,
-                                        SyncOp::Redispatch { batch: id, from: w },
-                                    );
-                                    let sent =
-                                        dispatcher.send_next(tracer, clock, index_qs, data_q);
-                                    emit_dispatch_gauges(
-                                        tracer,
-                                        clock,
-                                        audit,
-                                        index_qs,
-                                        sent,
-                                        dispatcher.in_flight.len(),
-                                    );
-                                    if let Some((to, _)) = dispatcher.in_flight.get(&id) {
-                                        let _overhead = tracer.on_batch_redispatched(
-                                            id,
-                                            worker_os_pid(w),
-                                            worker_os_pid(*to),
-                                            clock.now(),
-                                        );
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        recheck
-                    }
-                };
-                let Some(mut env) = popped else { continue };
-                let depth = data_q.audited_len("queue_depth.data_queue");
-                emit_gauge(tracer, clock, "queue_depth.data_queue", depth as f64);
-                dispatcher.batch_returned(&env);
-                audit_rec(
-                    audit,
-                    "in_flight_batches",
-                    SyncOp::Gauge {
-                        value: dispatcher.in_flight.len() as f64,
-                    },
-                );
-                emit_gauge(
-                    tracer,
-                    clock,
-                    "in_flight_batches",
-                    dispatcher.in_flight.len() as f64,
-                );
-                if env.batch_id == rcvd {
-                    // One clock read serves as both the wait's end and
-                    // the delivery point, making the linter's
-                    // queue-delay identity exact.
-                    let delivered_at = clock.now();
-                    let _overhead = tracer.on_batch_wait(
-                        MAIN_OS_PID,
-                        rcvd,
-                        wait_start,
-                        delivered_at.since(wait_start),
-                        false,
-                        delivered_at.saturating_since(env.produced_at),
-                    );
-                    break 'recv env;
-                }
-                // Out-of-order arrival: pin (a no-op natively) and stash.
-                env.pinned = true;
-                cache.insert(env.batch_id, env);
-                audit_rec(
-                    audit,
-                    "pinned_cache_batches",
-                    SyncOp::Gauge {
-                        value: cache.len() as f64,
-                    },
-                );
-                emit_gauge(tracer, clock, "pinned_cache_batches", cache.len() as f64);
-            }
-        };
+    fn overhead(&mut self, _overhead: Span) {}
 
-        // Refill after each returned batch. The policy decides the count
-        // (round-robin: exactly one, as PyTorch's `_process_data` does);
-        // the dispatcher clamps it to the protocol's in-flight bound.
-        let refill = dispatcher.refill_quota(index_qs, data_q);
-        if let Some(target) = refill.resized_to {
-            let _overhead = tracer.on_prefetch_resized(target, clock.now());
+    fn depths(&self) -> Depths {
+        (
+            self.index_qs.iter().map(NativeQueue::len).collect(),
+            self.data_q.len(),
+        )
+    }
+
+    fn gauge_depth(&self, queue: Option<usize>, name: &str) -> usize {
+        match queue {
+            Some(w) => self.index_qs[w].audited_len(name),
+            None => self.data_q.audited_len(name),
         }
-        for _ in 0..refill.count {
-            let sent = dispatcher.send_next(tracer, clock, index_qs, data_q);
-            emit_dispatch_gauges(
-                tracer,
-                clock,
-                audit,
-                index_qs,
-                sent,
-                dispatcher.in_flight.len(),
-            );
+    }
+
+    fn send(&mut self, w: usize, msg: WorkerMsg) {
+        self.index_qs[w].push(msg);
+    }
+
+    fn poll(&mut self, _dead: &[bool]) -> Result<Envelope, Vec<usize>> {
+        if let Some(env) = self
+            .data_q
+            .pop_timeout(duration_of(self.options.status_check))
+        {
+            return Ok(env);
         }
-
-        let payload = match env.payload {
-            Ok(p) => p,
-            Err(error) => {
-                shutdown.store(true, Ordering::Release);
-                for (w, q) in index_qs.iter().enumerate() {
-                    if !dispatcher.dead[w] {
-                        q.push(NativeMsg::Shutdown);
-                    }
+        // Liveness check. Marking happens under the liveness lock with
+        // the data queue observed empty, so no marked worker can have an
+        // envelope in flight.
+        let mut dead = self.liveness.lock().unwrap_or_else(PoisonError::into_inner);
+        audit_rec(self.audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+        let outcome = self.data_q.try_pop().ok_or_else(|| {
+            let now = self.clock.now();
+            let mut newly_dead = Vec::new();
+            for (w, at) in self.kill_times.iter().enumerate() {
+                if !dead[w] && at.is_some_and(|at| now >= at) {
+                    dead[w] = true;
+                    audit_rec(self.audit, LIVENESS_OBJ, SyncOp::MarkDead { worker: w });
+                    newly_dead.push(w);
                 }
-                return Err(JobError::Sample {
-                    batch_id: env.batch_id,
-                    worker: env.worker,
-                    error,
-                });
             }
-        };
+            newly_dead
+        });
+        audit_rec(self.audit, LIVENESS_OBJ, SyncOp::LockRelease);
+        outcome
+    }
 
-        let consume_start = clock.now();
-        if options.emulate_gpu {
+    fn consume(&mut self, batch: &BatchPayload, _pinned: bool) {
+        if self.options.emulate_gpu {
             std::thread::sleep(duration_of(
-                gpu.h2d_span(payload.bytes) + gpu.step_span(payload.len),
+                self.gpu.h2d_span(batch.bytes) + self.gpu.step_span(batch.len),
             ));
         }
-        let _overhead = tracer.on_batch_consumed(
-            MAIN_OS_PID,
-            rcvd,
-            consume_start,
-            clock.now().since(consume_start),
-            payload.len,
-        );
     }
 
-    shutdown.store(true, Ordering::Release);
-    for q in index_qs {
-        q.push(NativeMsg::Shutdown);
+    fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::Release);
     }
-    Ok(())
+
+    fn audit(&self, obj: &str, op: SyncOp) {
+        audit_rec(self.audit, obj, op);
+    }
 }
 
 impl ExecutionBackend for NativeBackend {
@@ -1324,48 +903,26 @@ impl ExecutionBackend for NativeBackend {
     }
 
     fn run(&self, job: TrainingJob) -> Result<JobReport, JobError> {
-        job.loader.validate().map_err(JobError::InvalidConfig)?;
+        let plan = EpochPlan::new(&job)?;
+        if plan.batches.is_empty() {
+            return Ok(plan.report);
+        }
         let TrainingJob {
             machine,
             dataset,
-            storage: _,
             loader,
             gpu,
             tracer,
             hw_profiler,
             seed,
-            epochs,
             faults,
-            controller: _,
-            mutation: _,
+            ..
         } = job;
-
-        let epochs = epochs.max(1) as u64;
-        let batch_sampler = BatchSampler {
-            batch_size: loader.batch_size,
-            drop_last: loader.drop_last,
-        };
-        let mut batches = Vec::new();
-        for epoch in 0..epochs {
-            let order = loader.sampler.epoch_order(dataset.len(), epoch);
-            batches.extend(batch_sampler.batches(&order));
-        }
-        let num_batches = batches.len() as u64;
-        let total_samples: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        if num_batches == 0 {
-            return Ok(JobReport {
-                elapsed: Span::ZERO,
-                batches: 0,
-                samples: 0,
-            });
-        }
-
-        let hints = batch_cost_hints(&*dataset, &loader, &batches);
         let workers = loader.num_workers;
         let clock = WallClock::new();
-        let mut data_q: NativeQueue<NativeEnvelope> =
+        let mut data_q: NativeQueue<Envelope> =
             NativeQueue::new("data_queue", loader.data_queue_cap);
-        let mut index_qs: Vec<NativeQueue<NativeMsg>> = (0..workers)
+        let mut index_qs: Vec<NativeQueue<WorkerMsg>> = (0..workers)
             .map(|w| NativeQueue::new(format!("index_queue_{w}"), None))
             .collect();
         if let Some(feed) = &self.audit {
@@ -1374,49 +931,54 @@ impl ExecutionBackend for NativeBackend {
             // (SkipNotify suppresses its consumer wake-up).
             data_q.set_audit(
                 Arc::clone(feed),
-                |env: &NativeEnvelope| Some(env.batch_id),
+                |env: &Envelope| Some(env.batch_id),
                 self.audit_mutation,
             );
             for q in &mut index_qs {
                 q.set_audit(
                     Arc::clone(feed),
-                    |msg: &NativeMsg| match msg {
-                        NativeMsg::Batch { id, .. } => Some(*id),
-                        NativeMsg::Shutdown => None,
+                    |msg: &WorkerMsg| match msg {
+                        WorkerMsg::Batch { id, .. } => Some(*id),
+                        WorkerMsg::Shutdown => None,
                     },
                     AuditMutation::None,
                 );
             }
         }
-        let liveness = Mutex::new(vec![false; workers]);
+        let driver = NativeDriver {
+            clock,
+            tracer: &*tracer,
+            dataset: &*dataset,
+            index_qs,
+            data_q,
+            liveness: Mutex::new(vec![false; workers]),
+            shutdown: AtomicBool::new(false),
+            audit: self.audit.as_deref(),
+            audit_mutation: self.audit_mutation,
+            options: self.options,
+            gpu,
+            kill_times: kill_times(&faults, workers),
+        };
         if let (AuditMutation::LockOrder, Some(feed)) = (self.audit_mutation, &self.audit) {
             // Seed the inversion once before any worker exists: the
             // canonical order everywhere else is liveness → data_queue,
             // so this data_queue → liveness nesting closes a cycle in
             // the lock-order graph deterministically (no thread can
             // contend yet, hence no actual deadlock is possible here).
-            data_q.with_lock(|| {
-                let dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
+            driver.data_q.with_lock(|| {
+                let dead = driver
+                    .liveness
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 feed.record(LIVENESS_OBJ, SyncOp::LockAcquire);
                 feed.record(LIVENESS_OBJ, SyncOp::LockRelease);
                 drop(dead);
             });
         }
-        let shutdown = AtomicBool::new(false);
-        let shared = WorkerShared {
-            clock: &clock,
-            tracer: &*tracer,
-            dataset: &*dataset,
-            data_q: &data_q,
-            liveness: &liveness,
-            shutdown: &shutdown,
-            audit: self.audit.as_deref(),
-            audit_mutation: self.audit_mutation,
-        };
 
         let outcome = std::thread::scope(|scope| {
-            for (w, index_q) in index_qs.iter().enumerate() {
-                let shared = &shared;
+            for w in 0..workers {
+                let driver = &driver;
                 let machine = &machine;
                 let faults = &faults;
                 let hw_profiler = hw_profiler.clone();
@@ -1428,37 +990,27 @@ impl ExecutionBackend for NativeBackend {
                 std::thread::Builder::new()
                     .name(format!("dataloader{w}"))
                     .spawn_scoped(scope, move || {
-                        native_worker_loop(
-                            shared,
-                            w,
-                            machine,
-                            hw_profiler,
-                            feed,
-                            index_q,
-                            seed,
-                            faults,
-                        );
+                        native_worker_loop(driver, w, machine, hw_profiler, feed, seed, faults);
                     })
                     .expect("failed to spawn DataLoader worker thread");
             }
-            native_main_loop(
-                &shared,
-                &self.options,
-                &index_qs,
+            // Seeded loader mutations are simulation-only.
+            let mutation = LoaderMutation::None;
+            run_main_loop(
+                &driver,
+                &*tracer,
                 &loader,
-                &gpu,
-                batches,
-                hints,
-                &faults,
+                plan.batches,
+                plan.hints,
+                mutation,
             )
         });
         outcome?;
         // Measured after every thread has joined, so no trace record ends
         // past the reported elapsed time.
         Ok(JobReport {
-            elapsed: clock.elapsed(),
-            batches: num_batches,
-            samples: total_samples,
+            elapsed: driver.clock.elapsed(),
+            ..plan.report
         })
     }
 }
@@ -1466,10 +1018,12 @@ impl ExecutionBackend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DataLoaderConfig;
     use crate::dataset::Sampler;
     use crate::tracer::NullTracer;
     use lotus_data::DType;
     use lotus_transforms::Sample;
+    use lotus_transforms::TransformCtx;
     use lotus_uarch::{Machine, MachineConfig};
 
     #[test]
@@ -1810,6 +1364,126 @@ mod tests {
                 .run(job)
                 .unwrap_or_else(|e| panic!("{kind} failed: {e:?}"));
             assert_eq!((report.batches, report.samples), (12, 48), "{kind}");
+        }
+    }
+
+    /// A clock that advances a fixed step on every read.
+    struct SteppingClock {
+        next: std::sync::atomic::AtomicU64,
+        step: u64,
+    }
+
+    impl TimeSource for SteppingClock {
+        fn now(&self) -> Time {
+            Time::ZERO + Span::from_nanos(self.next.fetch_add(self.step, Ordering::Relaxed))
+        }
+    }
+
+    /// Keeps the main loop's wait and consume spans as trace records.
+    #[derive(Default)]
+    struct SpanRecorder(Mutex<Vec<lotus_core::trace::TraceRecord>>);
+
+    impl SpanRecorder {
+        fn record(&self, kind: lotus_core::trace::SpanKind, pid: u32, id: u64, start: Time) {
+            self.0.lock().unwrap().push(lotus_core::trace::TraceRecord {
+                kind,
+                pid,
+                batch_id: id,
+                start,
+                duration: Span::ZERO,
+                out_of_order: false,
+                queue_delay: Span::ZERO,
+            });
+        }
+
+        fn set_last(&self, duration: Span, out_of_order: bool, queue_delay: Span) {
+            let mut records = self.0.lock().unwrap();
+            let last = records.last_mut().unwrap();
+            (last.duration, last.out_of_order, last.queue_delay) =
+                (duration, out_of_order, queue_delay);
+        }
+    }
+
+    impl Tracer for SpanRecorder {
+        fn on_batch_wait(
+            &self,
+            pid: u32,
+            id: u64,
+            start: Time,
+            dur: Span,
+            out_of_order: bool,
+            queue_delay: Span,
+        ) -> Span {
+            self.record(lotus_core::trace::SpanKind::BatchWait, pid, id, start);
+            self.set_last(dur, out_of_order, queue_delay);
+            Span::ZERO
+        }
+
+        fn on_batch_consumed(&self, pid: u32, id: u64, start: Time, dur: Span, _: usize) -> Span {
+            self.record(lotus_core::trace::SpanKind::BatchConsumed, pid, id, start);
+            self.set_last(dur, false, Span::ZERO);
+            Span::ZERO
+        }
+    }
+
+    /// At an epoch's end a batch served from the reorder buffer has no
+    /// refill after it, so on a fast host the main loop's next clock
+    /// reads can land inside its 1 µs wait marker. Drive the shared loop
+    /// over a pre-filled data queue (no worker threads) with clocks that
+    /// step 50–950 ns per read: every trace must lint clean.
+    #[test]
+    fn no_main_loop_span_straddles_a_cache_served_marker() {
+        for step in (50..1_000).step_by(50) {
+            let recorder = SpanRecorder::default();
+            let dataset = TinyDataset { items: 8 };
+            let driver = NativeDriver {
+                clock: SteppingClock {
+                    next: std::sync::atomic::AtomicU64::new(1_000_000),
+                    step,
+                },
+                tracer: &recorder,
+                dataset: &dataset,
+                index_qs: vec![NativeQueue::new("index_queue_0", None)],
+                data_q: NativeQueue::new("data_queue", None),
+                liveness: Mutex::new(vec![false]),
+                shutdown: AtomicBool::new(false),
+                audit: None,
+                audit_mutation: AuditMutation::None,
+                options: NativeOptions::default(),
+                gpu: GpuConfig::v100(1, Span::from_micros(10)),
+                kill_times: vec![None],
+            };
+            // Batch 1 arrives first: batch 0 comes off the queue, then
+            // batch 1 from the reorder buffer, last, with nothing to refill.
+            for id in [1, 0] {
+                driver.data_q.push(Envelope {
+                    batch_id: id,
+                    payload: Ok(BatchPayload { bytes: 64, len: 4 }),
+                    produced_at: Time::ZERO,
+                    fetch: Span::ZERO,
+                    worker: 0,
+                    pinned: false,
+                });
+            }
+            let loader = tiny_job(8, 1, Arc::new(NullTracer)).loader;
+            let batches = vec![(0..4).collect(), (4..8).collect()];
+            run_main_loop(
+                &driver,
+                &recorder,
+                &loader,
+                batches,
+                Vec::new(),
+                LoaderMutation::None,
+            )
+            .unwrap();
+            for id in [0, 1] {
+                let fetch = lotus_core::trace::SpanKind::BatchPreprocessed;
+                recorder.record(fetch, worker_os_pid(0), id, Time::ZERO);
+            }
+            let records = recorder.0.into_inner().unwrap();
+            assert_eq!(records.len(), 6, "step {step} ns");
+            let findings = lotus_core::check::lint_records(&records, None);
+            assert!(findings.is_empty(), "step {step} ns: {findings:?}");
         }
     }
 

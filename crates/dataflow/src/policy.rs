@@ -6,8 +6,8 @@
 //! sample keeps receiving its round-robin share while its siblings drain
 //! and idle. MinatoLoader recovers the lost throughput by segregating
 //! slow samples; tf.data argues dispatch should be a *policy*, not a
-//! loop. This module factors the decision points of both engines
-//! (`loader.rs` and `native.rs`) behind a [`SchedulingPolicy`] trait so
+//! loop. This module puts the decision points of the one dispatcher both
+//! engines run (`protocol.rs`) behind a [`SchedulingPolicy`] trait so
 //! alternatives compose with the rest of the protocol — orphan
 //! redispatch, in-order consumption, refill-per-returned-batch — without
 //! touching it.

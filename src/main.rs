@@ -2,7 +2,7 @@
 //! mapping, attribute counters to operations, or compare profilers — the
 //! workflows of the paper's artifact, as one binary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -204,11 +204,13 @@ USAGE:
 
 struct Args {
     flags: BTreeMap<String, String>,
+    /// Flags given without a value (booleans; stored as `"true"`).
+    bare: BTreeSet<String>,
 }
 
 impl Args {
     fn parse(raw: impl Iterator<Item = String>) -> Result<Args, String> {
-        let mut flags = BTreeMap::new();
+        let (mut flags, mut bare) = (BTreeMap::new(), BTreeSet::new());
         let mut raw = raw.peekable();
         while let Some(arg) = raw.next() {
             let Some(name) = arg.strip_prefix("--") else {
@@ -216,11 +218,14 @@ impl Args {
             };
             let value = match raw.peek() {
                 Some(v) if !v.starts_with("--") => raw.next().unwrap_or_default(),
-                _ => "true".to_string(), // boolean flag
+                _ => {
+                    bare.insert(name.to_string());
+                    "true".to_string() // boolean flag
+                }
             };
             flags.insert(name.to_string(), value);
         }
-        Ok(Args { flags })
+        Ok(Args { flags, bare })
     }
 
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -234,6 +239,15 @@ impl Args {
 
     fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
+    }
+
+    /// The FILE a path-valued flag names, if it was given. A bare
+    /// `--NAME` is an error rather than a file named `true`.
+    fn path(&self, name: &str) -> Result<Option<&str>, String> {
+        if self.bare.contains(name) {
+            return Err(format!("--{name} needs a FILE"));
+        }
+        Ok(self.flags.get(name).map(String::as_str))
     }
 }
 
@@ -260,6 +274,7 @@ fn pipeline_of(name: &str) -> Result<PipelineKind, String> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
+    let (out, log) = (args.path("out")?, args.path("log")?);
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
     config.batch_size = args.get("batch", config.batch_size)?;
@@ -312,12 +327,12 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
             render_timeline(&trace.records(), TimelineOptions::default())
         );
     }
-    if let Some(path) = args.flags.get("out") {
+    if let Some(path) = out {
         let doc = to_chrome_trace(&trace.records(), ChromeTraceOptions { coarse: true });
         std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
         println!("chrome trace written to {path}");
     }
-    if let Some(path) = args.flags.get("log") {
+    if let Some(path) = log {
         std::fs::write(path, trace.to_log_string())?;
         println!("trace log written to {path} (lint it with: lotus check --trace {path})");
     }
@@ -403,6 +418,8 @@ fn run_default_items(kind: PipelineKind, batch_size: usize) -> u64 {
 }
 
 fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
+    let (out, log) = (args.path("out")?, args.path("log")?);
+    let (storage_out, attribution) = (args.path("storage-out")?, args.path("attribution")?);
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
     config.batch_size = args.get("batch", config.batch_size)?;
@@ -457,7 +474,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
     if let Some(storage) = &outcome.storage {
         println!("\nstorage attribution:");
         print!("{}", storage.to_table_string());
-        if let Some(path) = args.flags.get("storage-out") {
+        if let Some(path) = storage_out {
             std::fs::write(path, storage.to_json())?;
             println!("storage attribution written to {path}");
         }
@@ -487,12 +504,12 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
                 );
             }
         }
-        if let Some(path) = args.flags.get("attribution") {
+        if let Some(path) = attribution {
             std::fs::write(path, profile.attribution.to_json())?;
             println!("attribution mapping written to {path}");
         }
     }
-    if let Some(path) = args.flags.get("out") {
+    if let Some(path) = out {
         let doc = to_chrome_trace(
             &outcome.trace.records(),
             ChromeTraceOptions { coarse: true },
@@ -500,7 +517,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
         std::fs::write(path, serde_json::to_string_pretty(&doc)?)?;
         println!("chrome trace written to {path}");
     }
-    if let Some(path) = args.flags.get("log") {
+    if let Some(path) = log {
         std::fs::write(path, outcome.trace.to_log_string())?;
         println!("trace log written to {path} (lint it with: lotus check --trace {path})");
     }
@@ -518,7 +535,7 @@ fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
     if presets.is_empty() {
         return Err("--presets must name at least one pipeline".into());
     }
-    let baseline_path = args.flags.get("check-against");
+    let baseline_path = args.path("check-against")?;
     if baseline_path.is_some() && presets.len() != 1 {
         return Err(
             "--check-against gates exactly one preset; pass a single --presets value".into(),
@@ -565,6 +582,7 @@ fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_map(args: &Args) -> Result<(), Box<dyn Error>> {
+    let out = args.path("out")?;
     let machine_config = match args.get("vendor", "intel".to_string())?.as_str() {
         "intel" => MachineConfig::cloudlab_c4130(),
         "amd" => MachineConfig::amd_rome(),
@@ -605,7 +623,7 @@ fn cmd_map(args: &Args) -> Result<(), Box<dyn Error>> {
         }
     }
     print!("{}", mapping.to_table_string());
-    if let Some(path) = args.flags.get("out") {
+    if let Some(path) = out {
         std::fs::write(path, mapping.to_json())?;
         println!("\nmapping written to {path}");
     }
@@ -711,6 +729,7 @@ fn cmd_compare(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
+    let (prom, json, csv) = (args.path("prom")?, args.path("json")?, args.path("csv")?);
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
     config.batch_size = args.get("batch", config.batch_size)?;
@@ -763,15 +782,15 @@ fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
     for (name, overhead) in overheads {
         println!("sink '{name}' charged {overhead} of instrumentation overhead");
     }
-    if let Some(path) = args.flags.get("prom") {
+    if let Some(path) = prom {
         std::fs::write(path, to_prometheus(&snapshot))?;
         println!("prometheus text written to {path}");
     }
-    if let Some(path) = args.flags.get("json") {
+    if let Some(path) = json {
         std::fs::write(path, to_json(&snapshot))?;
         println!("json snapshot written to {path}");
     }
-    if let Some(path) = args.flags.get("csv") {
+    if let Some(path) = csv {
         std::fs::write(path, to_csv(&snapshot))?;
         println!("csv time-series written to {path}");
     }
@@ -828,6 +847,7 @@ fn parse_cap_list(raw: &str) -> Result<Vec<Option<usize>>, String> {
 }
 
 fn cmd_tune(args: &Args) -> Result<(), Box<dyn Error>> {
+    let out = args.path("out")?;
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
     config.batch_size = args.get("batch", config.batch_size)?;
@@ -895,7 +915,7 @@ fn cmd_tune(args: &Args) -> Result<(), Box<dyn Error>> {
         );
         print!("{}", report.render_table());
     }
-    if let Some(path) = args.flags.get("out") {
+    if let Some(path) = out {
         std::fs::write(path, report.to_json())?;
         println!("json report written to {path}");
     }
