@@ -1,6 +1,7 @@
 //! The SJPG codec: a real JPEG-style encoder/decoder whose phases execute
 //! (and are costed as) the paper's Table I native kernels.
 
+use lotus_data::round::round_u8;
 use lotus_data::Image;
 use lotus_uarch::{CpuThread, Machine, Vendor};
 
@@ -29,6 +30,15 @@ pub enum CodecError {
         /// Declared height.
         height: u32,
     },
+    /// The header declares a quality outside 1–100.
+    InvalidQuality {
+        /// Declared quality.
+        quality: u8,
+    },
+    /// Input is left after the last block: a whole byte or more, or
+    /// non-zero padding bits. The header's dimensions disagree with the
+    /// payload.
+    TrailingData,
 }
 
 impl std::fmt::Display for CodecError {
@@ -38,6 +48,10 @@ impl std::fmt::Display for CodecError {
             CodecError::InvalidDimensions { width, height } => {
                 write!(f, "invalid sjpg dimensions {width}x{height}")
             }
+            CodecError::InvalidQuality { quality } => {
+                write!(f, "invalid sjpg quality {quality} (expected 1-100)")
+            }
+            CodecError::TrailingData => f.write_str("trailing data after the last sjpg block"),
         }
     }
 }
@@ -207,6 +221,11 @@ impl Codec {
                 height: encoded.height,
             });
         }
+        if !(1..=100).contains(&encoded.quality) {
+            return Err(CodecError::InvalidQuality {
+                quality: encoded.quality,
+            });
+        }
         self.charge_decode(encoded.width, encoded.height, encoded.file_bytes(), cpu);
 
         let geo = geometry(encoded.width, encoded.height);
@@ -219,6 +238,11 @@ impl Codec {
         });
         let (y_blocks, cb_blocks, cr_blocks) =
             decoded.map_err(|_: crate::bits::BitstreamExhausted| CodecError::Truncated)?;
+        // Only the encoder's zero padding (under a byte) may follow.
+        let rest = reader.remaining_bits();
+        if rest >= 8 || reader.read_bits(rest as u8) != Ok(0) {
+            return Err(CodecError::TrailingData);
+        }
 
         let luma_table = scale_quant_table(&LUMA_QUANT, encoded.quality);
         let chroma_table = scale_quant_table(&CHROMA_QUANT, encoded.quality);
@@ -311,11 +335,11 @@ fn plane_to_blocks(
     for by in 0..height.div_ceil(8) {
         for bx in 0..width.div_ceil(8) {
             let mut samples = [0.0f64; BLOCK_LEN];
-            for y in 0..BLOCK {
-                for x in 0..BLOCK {
-                    let py = (by * BLOCK + y).min(height - 1);
-                    let px = (bx * BLOCK + x).min(width - 1);
-                    samples[y * BLOCK + x] = f64::from(plane[py * width + px]) - 128.0;
+            for (y, out) in samples.chunks_exact_mut(BLOCK).enumerate() {
+                let py = (by * BLOCK + y).min(height - 1);
+                let row = &plane[py * width..py * width + width];
+                for (x, s) in out.iter_mut().enumerate() {
+                    *s = f64::from(row[(bx * BLOCK + x).min(width - 1)]) - 128.0;
                 }
             }
             blocks.push(quantize(&fdct8x8(&samples), table));
@@ -324,7 +348,8 @@ fn plane_to_blocks(
     blocks
 }
 
-/// Reassembles a plane from quantized blocks.
+/// Reassembles a plane from quantized blocks, cropping the edge blocks'
+/// padding.
 fn blocks_to_plane(
     blocks: &[[i16; BLOCK_LEN]],
     height: usize,
@@ -334,17 +359,13 @@ fn blocks_to_plane(
     let blocks_wide = width.div_ceil(8);
     let mut plane = vec![0u8; height * width];
     for (bi, q) in blocks.iter().enumerate() {
-        let by = bi / blocks_wide;
-        let bx = bi % blocks_wide;
+        let (by, bx) = (bi / blocks_wide, bi % blocks_wide);
         let samples = idct8x8(&dequantize(q, table));
-        for y in 0..BLOCK {
-            for x in 0..BLOCK {
-                let py = by * BLOCK + y;
-                let px = bx * BLOCK + x;
-                if py < height && px < width {
-                    plane[py * width + px] =
-                        (samples[y * BLOCK + x] + 128.0).round().clamp(0.0, 255.0) as u8;
-                }
+        let (x0, x1) = (bx * BLOCK, (bx * BLOCK + BLOCK).min(width));
+        for (py, row) in (by * BLOCK..height).zip(samples.chunks_exact(BLOCK)) {
+            let out = &mut plane[py * width + x0..py * width + x1];
+            for (o, &s) in out.iter_mut().zip(row) {
+                *o = round_u8(s + 128.0);
             }
         }
     }
@@ -478,6 +499,69 @@ mod tests {
             codec.decode(&bogus, &mut cpu),
             Err(CodecError::InvalidDimensions { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_quality_is_an_error_not_a_panic() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(16, 16, &mut StdRng::seed_from_u64(6));
+        let mut encoded = codec.encode(&original, 80, &mut cpu);
+        for quality in [0, 101, u8::MAX] {
+            encoded.quality = quality;
+            assert_eq!(
+                codec.decode(&encoded, &mut cpu),
+                Err(CodecError::InvalidQuality { quality })
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_header_does_not_reserve_for_absent_blocks() {
+        // 2^34 pixels is 2^28 luma blocks: a 32 GiB reservation if the
+        // block vector were sized from the header alone.
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(32, 32, &mut StdRng::seed_from_u64(12));
+        let mut encoded = codec.encode(&original, 80, &mut cpu);
+        encoded.width = 1 << 20;
+        encoded.height = 1 << 14;
+        assert_eq!(codec.decode(&encoded, &mut cpu), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn half_height_header_is_trailing_data() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(64, 48, &mut StdRng::seed_from_u64(13));
+        let mut encoded = codec.encode(&original, 85, &mut cpu);
+        encoded.height /= 2;
+        assert_eq!(
+            codec.decode(&encoded, &mut cpu),
+            Err(CodecError::TrailingData)
+        );
+    }
+
+    #[test]
+    fn non_zero_padding_is_trailing_data() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(8, 8, &mut StdRng::seed_from_u64(14));
+        let mut encoded = codec.encode(&original, 85, &mut cpu);
+        let bits = {
+            let mut r = BitReader::new(&encoded.data);
+            decode_blocks(&mut r, 3).unwrap();
+            r.bits_read()
+        };
+        assert_ne!(bits % 8, 0, "this image must end mid-byte");
+        *encoded.data.last_mut().unwrap() |= 1;
+        assert_eq!(
+            codec.decode(&encoded, &mut cpu),
+            Err(CodecError::TrailingData)
+        );
+        // A whole extra byte, even zero, is trailing data too.
+        *encoded.data.last_mut().unwrap() &= !1;
+        encoded.data.push(0);
+        assert_eq!(
+            codec.decode(&encoded, &mut cpu),
+            Err(CodecError::TrailingData)
+        );
     }
 
     #[test]

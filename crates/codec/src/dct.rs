@@ -2,6 +2,8 @@
 
 use std::f64::consts::PI;
 
+use lotus_data::round::round_clamp;
+
 /// Blocks are 8×8 samples, as in JPEG.
 pub const BLOCK: usize = 8;
 /// Samples per block.
@@ -182,9 +184,21 @@ pub fn idct8x8_ref(coeffs: &[f64; BLOCK_LEN]) -> [f64; BLOCK_LEN] {
     out
 }
 
-/// Quantizes DCT coefficients to integers.
+/// Quantizes DCT coefficients to integers (round half away from zero,
+/// clamped to ±2047). Bit-identical to [`quantize_ref`] without its
+/// libm `round` calls.
 #[must_use]
 pub fn quantize(coeffs: &[f64; BLOCK_LEN], table: &[u16; BLOCK_LEN]) -> [i16; BLOCK_LEN] {
+    let mut out = [0i16; BLOCK_LEN];
+    for i in 0..BLOCK_LEN {
+        out[i] = round_clamp(coeffs[i] / f64::from(table[i]), -2047.0, 2047.0) as i16;
+    }
+    out
+}
+
+/// The `f64::round` quantizer [`quantize`] is tested against.
+#[must_use]
+pub fn quantize_ref(coeffs: &[f64; BLOCK_LEN], table: &[u16; BLOCK_LEN]) -> [i16; BLOCK_LEN] {
     let mut out = [0i16; BLOCK_LEN];
     for i in 0..BLOCK_LEN {
         out[i] = (coeffs[i] / f64::from(table[i]))
@@ -290,6 +304,28 @@ mod tests {
         }
         // Quality 50 is the base table.
         assert_eq!(q50, LUMA_QUANT);
+    }
+
+    #[test]
+    fn quantize_matches_the_f64_round_reference() {
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        for quality in [1, 10, 50, 85, 100] {
+            let table = scale_quant_table(&LUMA_QUANT, quality);
+            for _ in 0..200 {
+                let mut coeffs = [0.0; BLOCK_LEN];
+                for (i, c) in coeffs.iter_mut().enumerate() {
+                    lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    // Exact half-steps of the table, then arbitrary values
+                    // up to past the ±2047 clamp.
+                    *c = if i % 2 == 0 {
+                        ((lcg >> 51) as i32 - 4096) as f64 * 0.5 * f64::from(table[i])
+                    } else {
+                        ((lcg >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0e6
+                    };
+                }
+                assert_eq!(quantize(&coeffs, &table), quantize_ref(&coeffs, &table));
+            }
+        }
     }
 
     #[test]

@@ -52,12 +52,15 @@ pub fn encode_blocks(blocks: &[[i16; BLOCK_LEN]], writer: &mut BitWriter) -> Ent
     let mut stats = EntropyStats::default();
     let mut prev_dc = 0i16;
     for block in blocks {
-        // DC delta.
+        // DC delta: the 4-bit category, then its magnitude bits, as one
+        // write (a category above 15 keeps only its low nibble).
         let diff = block[ZIGZAG[0]] - prev_dc;
         prev_dc = block[ZIGZAG[0]];
         let cat = category(diff);
-        writer.write_bits(u32::from(cat), 4);
-        writer.write_bits(magnitude_bits(diff, cat), cat);
+        writer.write_bits(
+            (u32::from(cat & 0xF) << cat) | magnitude_bits(diff, cat),
+            4 + cat,
+        );
         stats.symbols += 1;
         // AC run-length.
         let mut run = 0u8;
@@ -69,29 +72,35 @@ pub fn encode_blocks(blocks: &[[i16; BLOCK_LEN]], writer: &mut BitWriter) -> Ent
             }
             while run >= 16 {
                 // ZRL: sixteen zeros.
-                writer.write_bits(0xF, 4);
-                writer.write_bits(0x0, 4);
+                writer.write_bits(0xF0, 8);
                 stats.symbols += 1;
                 run -= 16;
             }
+            // (run, category) nibbles, then the magnitude bits.
             let cat = category(v);
-            writer.write_bits(u32::from(run), 4);
-            writer.write_bits(u32::from(cat), 4);
-            writer.write_bits(magnitude_bits(v, cat), cat);
+            let symbol = (u32::from(run) << 4) | u32::from(cat & 0xF);
+            writer.write_bits((symbol << cat) | magnitude_bits(v, cat), 8 + cat);
             stats.symbols += 1;
             run = 0;
         }
         if run > 0 {
             // EOB.
-            writer.write_bits(0x0, 4);
-            writer.write_bits(0x0, 4);
+            writer.write_bits(0x00, 8);
             stats.symbols += 1;
         }
     }
     stats
 }
 
+/// Fewest bits one encoded block can take: a 4-bit zero DC category and
+/// one 8-bit AC symbol (EOB, or a ZRL/value that is not the last).
+const MIN_BLOCK_BITS: usize = 12;
+
 /// Decodes `count` blocks from `reader`.
+///
+/// Reserves room for at most as many blocks as the remaining input can
+/// hold (12 bits each), so a `count` that overstates the
+/// payload costs no more memory than the payload justifies.
 ///
 /// # Errors
 ///
@@ -101,19 +110,19 @@ pub fn decode_blocks(
     count: usize,
 ) -> Result<(Vec<[i16; BLOCK_LEN]>, EntropyStats), BitstreamExhausted> {
     let mut stats = EntropyStats::default();
-    let mut blocks = Vec::with_capacity(count);
+    let mut blocks = Vec::with_capacity(count.min(reader.remaining_bits() / MIN_BLOCK_BITS));
     let mut prev_dc = 0i16;
     for _ in 0..count {
         let mut block = [0i16; BLOCK_LEN];
         let cat = reader.read_bits(4)? as u8;
         let bits = reader.read_bits(cat)?;
-        prev_dc += decode_magnitude(bits, cat);
+        prev_dc = prev_dc.wrapping_add(decode_magnitude(bits, cat));
         block[ZIGZAG[0]] = prev_dc;
         stats.symbols += 1;
         let mut pos = 1usize;
         while pos < BLOCK_LEN {
-            let run = reader.read_bits(4)? as usize;
-            let cat = reader.read_bits(4)? as u8;
+            let symbol = reader.read_bits(8)?;
+            let (run, cat) = ((symbol >> 4) as usize, (symbol & 0xF) as u8);
             stats.symbols += 1;
             if run == 0 && cat == 0 {
                 break; // EOB
@@ -216,9 +225,66 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::bits::BitWriterRef;
     use proptest::prelude::*;
 
+    /// The encoder as first written: every nibble and magnitude its own
+    /// write, into the per-bit writer.
+    fn encode_blocks_ref(blocks: &[[i16; BLOCK_LEN]]) -> Vec<u8> {
+        let mut writer = BitWriterRef::new();
+        let mut prev_dc = 0i16;
+        for block in blocks {
+            let diff = block[ZIGZAG[0]] - prev_dc;
+            prev_dc = block[ZIGZAG[0]];
+            let cat = category(diff);
+            writer.write_bits(u32::from(cat), 4);
+            writer.write_bits(magnitude_bits(diff, cat), cat);
+            let mut run = 0u8;
+            for &zz in &ZIGZAG[1..] {
+                let v = block[zz];
+                if v == 0 {
+                    run += 1;
+                    continue;
+                }
+                while run >= 16 {
+                    writer.write_bits(0xF, 4);
+                    writer.write_bits(0x0, 4);
+                    run -= 16;
+                }
+                let cat = category(v);
+                writer.write_bits(u32::from(run), 4);
+                writer.write_bits(u32::from(cat), 4);
+                writer.write_bits(magnitude_bits(v, cat), cat);
+                run = 0;
+            }
+            if run > 0 {
+                writer.write_bits(0x0, 4);
+                writer.write_bits(0x0, 4);
+            }
+        }
+        writer.finish()
+    }
+
     proptest! {
+        #[test]
+        fn merged_writes_match_the_per_nibble_encoder(
+            raw in prop::collection::vec(-2047i16..=2047, BLOCK_LEN * 4),
+            zeros in prop::collection::vec(0usize..BLOCK_LEN * 4, 0..200),
+        ) {
+            // Quantizer-range values, with zero runs of every length.
+            let mut raw = raw;
+            for i in zeros {
+                raw[i] = 0;
+            }
+            let blocks: Vec<[i16; BLOCK_LEN]> = raw
+                .chunks_exact(BLOCK_LEN)
+                .map(|c| c.try_into().unwrap())
+                .collect();
+            let mut w = BitWriter::new();
+            encode_blocks(&blocks, &mut w);
+            prop_assert_eq!(w.finish(), encode_blocks_ref(&blocks));
+        }
+
         #[test]
         fn arbitrary_quantized_blocks_round_trip(
             raw in prop::collection::vec(-1024i16..=1024, BLOCK_LEN * 3)

@@ -61,8 +61,44 @@ impl Image {
     /// Generates a synthetic photo-like image: smooth gradients plus
     /// seeded noise, so codec round-trips and transforms exercise
     /// realistic (compressible but non-trivial) content.
+    ///
+    /// Computes `u·fx` once per column and `v·fy` once per row and fills
+    /// a pre-sized buffer row by row. The per-pixel expression and the
+    /// order of the noise draws are those of [`Image::synthetic_ref`],
+    /// so the output is bit-identical to it.
     #[must_use]
     pub fn synthetic(height: usize, width: usize, rng: &mut impl Rng) -> Image {
+        const C: usize = Image::CHANNELS;
+        let (fx, fy) = (rng.gen_range(0.5..3.0), rng.gen_range(0.5..3.0));
+        let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+        let ufx: Vec<f64> = (0..width)
+            .map(|x| x as f64 / width.max(1) as f64 * fx)
+            .collect();
+        let mut pixels = vec![0u8; height * width * C];
+        if width > 0 {
+            for (y, row) in pixels.chunks_exact_mut(width * C).enumerate() {
+                let vfy = y as f64 / height.max(1) as f64 * fy;
+                for (out, &ufx) in row.chunks_exact_mut(C).zip(&ufx) {
+                    let base = ((ufx + vfy) * std::f64::consts::TAU + phase).sin() * 0.5 + 0.5;
+                    for (c, o) in out.iter_mut().enumerate() {
+                        let chan = (base * 200.0 + c as f64 * 18.0) as i32;
+                        let noise = rng.gen_range(-12i32..=12);
+                        *o = (chan + noise).clamp(0, 255) as u8;
+                    }
+                }
+            }
+        }
+        Image {
+            height,
+            width,
+            pixels,
+        }
+    }
+
+    /// The per-pixel synthesizer [`Image::synthetic`] is tested (and
+    /// benchmarked) against.
+    #[must_use]
+    pub fn synthetic_ref(height: usize, width: usize, rng: &mut impl Rng) -> Image {
         let mut pixels = Vec::with_capacity(height * width * Self::CHANNELS);
         let (fx, fy) = (rng.gen_range(0.5..3.0), rng.gen_range(0.5..3.0));
         let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -185,6 +221,21 @@ mod tests {
         let c = Image::synthetic(16, 16, &mut StdRng::seed_from_u64(8));
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn synthetic_matches_the_per_pixel_reference() {
+        for (seed, (h, w)) in [
+            (1, (16, 16)),
+            (2, (17, 23)),
+            (3, (1, 1)),
+            (4, (8, 421)),
+            (5, (0, 7)),
+        ] {
+            let fast = Image::synthetic(h, w, &mut StdRng::seed_from_u64(seed));
+            let slow = Image::synthetic_ref(h, w, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(fast, slow, "{h}x{w} seed {seed}");
+        }
     }
 
     #[test]

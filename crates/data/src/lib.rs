@@ -23,6 +23,7 @@
 #![deny(unsafe_code)]
 
 pub mod dist;
+pub mod round;
 pub mod stats;
 
 mod dataset;

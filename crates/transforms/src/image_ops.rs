@@ -1,5 +1,6 @@
 //! Image-domain transforms: the IC/OD pipeline operations.
 
+use lotus_data::round::round_u8;
 use lotus_data::{DType, Image, Tensor};
 use lotus_uarch::{CostCoeffs, KernelId, Machine, Vendor};
 use rand::Rng;
@@ -150,9 +151,10 @@ fn bilinear_taps(src_len: usize, out_len: usize) -> Vec<(usize, usize, f64)> {
 ///
 /// Separable two-pass implementation, the shape Pillow's
 /// `ImagingResampleHorizontal/Vertical` pair uses: the horizontal pass
-/// reads each source row once through precomputed taps into a planar
-/// intermediate, and the vertical pass blends two intermediate rows per
-/// output row. Both inner loops stream over flat buffers with
+/// filters a source row through precomputed taps into an f64 row
+/// buffer, and the vertical pass blends two such rows per output row,
+/// so the intermediate is two rows, not a whole image. Both inner loops
+/// stream over flat buffers with
 /// loop-invariant weights, so they autovectorize; per-pixel coordinate
 /// math and the 4-neighbor gather of the naive version
 /// ([`resize_bilinear_ref`]) are gone. The f64 expression tree per
@@ -166,25 +168,41 @@ pub fn resize_bilinear(src: &Image, out_h: usize, out_w: usize) -> Image {
     let taps_y = bilinear_taps(src.height(), out_h);
     let pixels = src.pixels();
 
-    // Horizontal pass: src_h × out_w, kept in f64 for exactness.
-    let mut mid = Vec::with_capacity(src.height() * out_w * C);
-    for row in pixels.chunks_exact(src_w * C) {
-        for &(x0, x1, fx) in &taps_x {
+    // Horizontal pass of source row `y` into `mid`, kept in f64 for
+    // exactness.
+    let stride = out_w * C;
+    let horizontal = |y: usize, mid: &mut [f64]| {
+        let row = &pixels[y * src_w * C..(y + 1) * src_w * C];
+        for (m, &(x0, x1, fx)) in mid.chunks_exact_mut(C).zip(&taps_x) {
             let (a, b) = (&row[x0 * C..x0 * C + C], &row[x1 * C..x1 * C + C]);
             for c in 0..C {
-                mid.push(f64::from(a[c]) * (1.0 - fx) + f64::from(b[c]) * fx);
+                m[c] = f64::from(a[c]) * (1.0 - fx) + f64::from(b[c]) * fx;
             }
         }
-    }
+    };
 
-    // Vertical pass: blend two intermediate rows per output row.
-    let stride = out_w * C;
-    let mut out = Vec::with_capacity(out_h * stride);
-    for &(y0, y1, fy) in &taps_y {
-        let top = &mid[y0 * stride..y0 * stride + stride];
-        let bot = &mid[y1 * stride..y1 * stride + stride];
-        for (t, b) in top.iter().zip(bot) {
-            out.push((t * (1.0 - fy) + b * fy).round().clamp(0.0, 255.0) as u8);
+    // Vertical pass: blend two intermediate rows per output row. The
+    // taps never move backwards, so two row buffers suffice: each source
+    // row the output needs is filtered once, and rows it skips are not
+    // filtered at all.
+    let (mut top, mut bot) = (vec![0.0; stride], vec![0.0; stride]);
+    let (mut top_y, mut bot_y) = (usize::MAX, usize::MAX);
+    let mut out = vec![0u8; out_h * stride];
+    for (out_row, &(y0, y1, fy)) in out.chunks_exact_mut(stride).zip(&taps_y) {
+        if y0 == bot_y {
+            std::mem::swap(&mut top, &mut bot);
+            std::mem::swap(&mut top_y, &mut bot_y);
+        }
+        if y0 != top_y {
+            horizontal(y0, &mut top);
+            top_y = y0;
+        }
+        if y1 != bot_y {
+            horizontal(y1, &mut bot);
+            bot_y = y1;
+        }
+        for ((o, t), b) in out_row.iter_mut().zip(&top).zip(&bot) {
+            *o = round_u8(t * (1.0 - fy) + b * fy);
         }
     }
     Image::from_pixels(out_h, out_w, out)
@@ -221,12 +239,21 @@ pub fn resize_bilinear_ref(src: &Image, out_h: usize, out_w: usize) -> Image {
     Image::from_pixels(out_h, out_w, out)
 }
 
+/// Copies the `h × w` region at `(top, left)`, one row slice at a time.
+///
+/// # Panics
+///
+/// Panics if the region is not inside `src`.
 fn crop(src: &Image, top: usize, left: usize, h: usize, w: usize) -> Image {
-    let mut out = Vec::with_capacity(h * w * Image::CHANNELS);
-    for y in 0..h {
-        for x in 0..w {
-            out.extend_from_slice(&src.pixel(top + y, left + x));
-        }
+    const C: usize = Image::CHANNELS;
+    assert!(
+        top + h <= src.height() && left + w <= src.width(),
+        "crop ({top},{left}) {h}x{w} out of bounds"
+    );
+    let stride = src.width() * C;
+    let mut out = Vec::with_capacity(h * w * C);
+    for y in top..top + h {
+        out.extend_from_slice(&src.pixels()[y * stride + left * C..y * stride + (left + w) * C]);
     }
     Image::from_pixels(h, w, out)
 }
@@ -896,6 +923,9 @@ mod tests {
             (480, 640, 100, 75),
             (8, 8, 8, 8),
             (1, 1, 3, 5),
+            (375, 500, 224, 224),
+            (300, 17, 7, 224),
+            (2, 200, 224, 3),
         ] {
             let img = Image::synthetic(src_h, src_w, &mut rng);
             let fast = resize_bilinear(&img, out_h, out_w);
@@ -915,6 +945,20 @@ mod tests {
         let c = crop(&img, 2, 3, 2, 2);
         assert_eq!(c.pixel(0, 0), [7, 7, 7]);
         assert_eq!(c.pixel(1, 1), [0, 0, 0]);
+    }
+
+    #[test]
+    fn row_wise_crop_matches_a_per_pixel_gather() {
+        let img = Image::synthetic(19, 27, &mut StdRng::seed_from_u64(3));
+        for (top, left, h, w) in [(0, 0, 19, 27), (2, 3, 5, 7), (18, 26, 1, 1), (4, 0, 10, 27)] {
+            let c = crop(&img, top, left, h, w);
+            assert_eq!((c.height(), c.width()), (h, w));
+            for y in 0..h {
+                for x in 0..w {
+                    assert_eq!(c.pixel(y, x), img.pixel(top + y, left + x));
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,18 +5,27 @@
 //! ```sh
 //! cargo run --release --example real_decode
 //! ```
+//!
+//! The example validates itself: it re-decodes every record of the
+//! dataset and compares an FNV-1a hash of the decoded pixels against a
+//! pinned value, printing `DECODE OK` only on a match. A kernel rewrite
+//! that changes one decoded byte fails here.
 
 use std::error::Error;
 use std::sync::Arc;
 
+use lotus::codec::Codec;
 use lotus::core::trace::LotusTrace;
 use lotus::data::dist::LogNormal;
 use lotus::data::ImageDatasetModel;
 use lotus::dataflow::{DataLoaderConfig, FaultPlan, GpuConfig, LoaderMutation, TrainingJob};
 use lotus::sim::Span;
 use lotus::transforms::{Normalize, RandomHorizontalFlip, RandomResizedCrop, ToTensor};
-use lotus::uarch::{Machine, MachineConfig};
+use lotus::uarch::{CpuThread, Machine, MachineConfig};
 use lotus::workloads::{ImageFolderDataset, IoModel};
+
+/// FNV-1a over the decoded pixels of every record, in index order.
+const DECODED_PIXELS_FNV: u64 = 0x3948_e163_8c46_ecde;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let machine = Machine::new(MachineConfig::cloudlab_c4130());
@@ -41,7 +50,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         ],
     );
     let dataset =
-        ImageFolderDataset::new(&machine, model, IoModel::local_nvme(), transforms).materialized(); // ← real pixels: synthesize → encode → decode
+        ImageFolderDataset::new(&machine, model.clone(), IoModel::local_nvme(), transforms)
+            .materialized(); // ← real pixels: synthesize → encode → decode
 
     let trace = Arc::new(LotusTrace::new());
     let report = TrainingJob {
@@ -80,6 +90,27 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "\nEvery image above went through the full SJPG decode (entropy decode, \
          IDCT, chroma upsample, YCbCr→RGB) and real bilinear resampling."
+    );
+
+    // Self-check: the decoder's output bytes are pinned.
+    let codec = Codec::new(&machine);
+    let mut cpu = CpuThread::new(Arc::clone(&machine));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for index in 0..model.len() {
+        let encoded = codec.encode(&model.record(index).materialize(), 85, &mut cpu);
+        for &b in codec.decode(&encoded, &mut cpu)?.pixels() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    if hash != DECODED_PIXELS_FNV {
+        return Err(format!(
+            "decoded pixels hash to {hash:#018x}, expected {DECODED_PIXELS_FNV:#018x}"
+        )
+        .into());
+    }
+    println!(
+        "DECODE OK: {} records, pixels hash {hash:#018x}",
+        model.len()
     );
     Ok(())
 }

@@ -79,6 +79,10 @@ pub struct AuditRun {
     pub batches: u64,
 }
 
+/// Batch size of every audited run: small, so a few dozen items give
+/// several batches per worker.
+pub const AUDIT_BATCH_SIZE: usize = 4;
+
 /// Audits one native run of `kind` under `policy`.
 ///
 /// # Errors
@@ -90,7 +94,7 @@ pub fn audit_run(
     options: &AuditOptions,
 ) -> Result<AuditRun, String> {
     let mut config = ExperimentConfig::paper_default(kind);
-    config.batch_size = 4;
+    config.batch_size = AUDIT_BATCH_SIZE;
     config.num_workers = options.workers;
     let config = config.scaled_to(options.items).with_policy(policy);
     let loader = config.loader_defaults();

@@ -1320,7 +1320,7 @@ fn cmd_audit_model(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_audit(args: &Args) -> Result<(), Box<dyn Error>> {
-    use lotus::auditing::{audit_matrix, minimized_window, AuditOptions};
+    use lotus::auditing::{audit_matrix, minimized_window, AuditOptions, AUDIT_BATCH_SIZE};
     use lotus::dataflow::AuditMutation;
 
     if args.has("model") || args.has("bug") {
@@ -1336,6 +1336,7 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn Error>> {
     if options.items == 0 {
         return Err("--items must be at least 1".into());
     }
+    check_epoch(options.items, AUDIT_BATCH_SIZE, options.workers)?;
     if args.has("status-check-ms") {
         options.status_check = millis(args, "status-check-ms", 0)?;
     }

@@ -104,6 +104,10 @@ fn bad_argv_and_values_are_errors_not_panics() {
             "--items 0 is less than one batch",
         ),
         (&["audit", "--items", "0"], "--items must be at least 1"),
+        (
+            &["audit", "--items", "3"],
+            "--items 3 is less than one batch of 4",
+        ),
         (&["trace", "--batch", "0"], "batch_size must be at least 1"),
         (&["check", "--batch", "0"], "batch_size must be at least 1"),
         (
