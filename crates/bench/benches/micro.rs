@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks of the substrates themselves: simulation
 //! queue throughput, codec decode, kernel cost evaluation, histogram
-//! ingestion.
+//! ingestion, and the per-event trace and metrics hot path.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lotus_codec::Codec;
+use lotus_core::metrics::{names, MetricsRegistry, MetricsSink, MultiSink};
 use lotus_core::trace::hist::LogHistogram;
+use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_data::Image;
-use lotus_sim::{Simulation, Span};
+use lotus_dataflow::Tracer;
+use lotus_sim::{Simulation, Span, Time};
 use lotus_uarch::{CostCoeffs, CpuThread, Machine, MachineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,11 +68,60 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
+/// Events per iteration of the trace and metrics rows: enough that one
+/// iteration is a trial-sized burst rather than a timer read.
+const EVENTS: u64 = 10_000;
+
+fn bench_trace_sinks(c: &mut Criterion) {
+    // Wired as `lotus::tuning::run_trial` wires its sinks: a full-mode,
+    // zero-overhead LotusTrace and a zero-overhead MetricsSink behind one
+    // MultiSink, fresh for every burst.
+    c.bench_function("trace_multisink_on_op", |b| {
+        b.iter(|| {
+            let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {
+                per_log_overhead: Span::ZERO,
+                op_mode: OpLogMode::Full,
+            }));
+            let registry = Arc::new(MetricsRegistry::new());
+            let metrics = Arc::new(MetricsSink::with_overhead(registry, 2, Span::ZERO));
+            let sinks = MultiSink::new().with(trace as _).with(metrics as _);
+            for i in 0..EVENTS {
+                let _ = sinks.on_op(
+                    4243,
+                    i / 128,
+                    "Normalize",
+                    Time::from_nanos(i * 1_000),
+                    Span::from_nanos(750),
+                );
+            }
+            sinks
+        });
+    });
+}
+
+fn bench_registry(c: &mut Criterion) {
+    let registry = MetricsRegistry::new();
+    registry.inc_counter(names::OPS, 1);
+    registry.set_gauge(names::IN_FLIGHT, Time::ZERO, 0.0);
+    registry.record_latency(names::T3_OP, Span::from_nanos(1));
+    c.bench_function("metrics_registry_update_existing_key", |b| {
+        b.iter(|| {
+            for i in 0..EVENTS {
+                registry.inc_counter(names::OPS, 1);
+                registry.set_gauge(names::IN_FLIGHT, Time::from_nanos(i), (i % 4) as f64);
+                registry.record_latency(names::T3_OP, Span::from_nanos(1 + i));
+            }
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_sim_queue,
     bench_codec_decode,
     bench_cost_model,
-    bench_histogram
+    bench_histogram,
+    bench_trace_sinks,
+    bench_registry
 );
 criterion_main!(benches);

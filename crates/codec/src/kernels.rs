@@ -311,6 +311,36 @@ mod tests {
     }
 
     #[test]
+    fn kernel_cost_is_the_spec_cost_of_every_codec_kernel() {
+        for config in [MachineConfig::cloudlab_c4130(), MachineConfig::amd_rome()] {
+            let machine = Machine::new(config);
+            let k = CodecKernels::register(&machine);
+            let ids: Vec<KernelId> = [
+                k.decode_mcu,
+                k.fill_bit_buffer,
+                k.idct_islow,
+                k.idct_16x16,
+                k.ycc_rgb_convert,
+                k.decompress_driver,
+                k.unpack_rgb,
+                k.alloc_output,
+                k.memset,
+                k.memcpy,
+                k.rgb_ycc_convert,
+                k.fdct_islow,
+                k.encode_mcu,
+            ]
+            .into_iter()
+            .chain(k.sep_upsample)
+            .collect();
+            assert_eq!(ids.len(), machine.kernel_count(), "every registered kernel");
+            for id in ids {
+                assert_eq!(machine.kernel_cost(id), machine.kernel_spec(id).cost);
+            }
+        }
+    }
+
+    #[test]
     fn registration_is_stable_across_calls() {
         let machine = Machine::new(MachineConfig::cloudlab_c4130());
         let a = CodecKernels::register(&machine);

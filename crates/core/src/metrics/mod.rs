@@ -21,5 +21,7 @@ pub mod sink;
 
 pub use dashboard::{render_dashboard, sparkline, utilization_bar, DashboardOptions};
 pub use export::{to_csv, to_json, to_prometheus};
-pub use registry::{GaugeSeries, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use registry::{
+    GaugeSeries, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, RegistryUpdate,
+};
 pub use sink::{names, ChromeSink, MetricsSink, MultiSink, TraceEvent, TraceSink, VizSink};

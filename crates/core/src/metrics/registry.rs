@@ -7,7 +7,7 @@
 //! produce **bit-identical** registries, and bit-identical exports.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use lotus_data::stats::Summary;
 use lotus_sim::{Span, Time};
@@ -118,6 +118,47 @@ struct RegistryInner {
     histograms: BTreeMap<String, LogHistogram>,
 }
 
+/// Applies `update` to the value under `name`, looked up by `&str`: the
+/// key is allocated only when the name is inserted for the first time.
+fn update_slot<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => update(value),
+        None => update(map.entry(name.to_string()).or_default()),
+    }
+}
+
+/// Exclusive access to a [`MetricsRegistry`] for a group of updates made
+/// under one lock acquisition (one per event in the
+/// [`crate::metrics::MetricsSink`]). Obtained from
+/// [`MetricsRegistry::lock`]; the lock is released when it drops.
+#[derive(Debug)]
+pub struct RegistryUpdate<'a> {
+    inner: MutexGuard<'a, RegistryInner>,
+}
+
+impl RegistryUpdate<'_> {
+    /// Adds `delta` to the named counter, creating it at zero.
+    pub fn inc_counter(&mut self, name: &str, delta: u64) {
+        update_slot(&mut self.inner.counters, name, |c| *c += delta);
+    }
+
+    /// Current value of a counter (zero if never incremented).
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        self.inner.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Records a gauge sample at virtual time `at`.
+    pub fn set_gauge(&mut self, name: &str, at: Time, value: f64) {
+        update_slot(&mut self.inner.gauges, name, |g| g.push(at, value));
+    }
+
+    /// Records one duration into the named latency histogram.
+    pub fn record_latency(&mut self, name: &str, dur: Span) {
+        update_slot(&mut self.inner.histograms, name, |h| h.record(dur));
+    }
+}
+
 /// Thread-safe registry of counters, gauges, and latency histograms for
 /// one run. Handed to a [`crate::metrics::MetricsSink`] for live
 /// population and to the exporters ([`crate::metrics::export`]) and
@@ -151,27 +192,28 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Locks the registry for a group of updates (see [`RegistryUpdate`]).
+    #[must_use]
+    pub fn lock(&self) -> RegistryUpdate<'_> {
+        RegistryUpdate {
+            inner: self.inner.lock().expect("registry poisoned"),
+        }
+    }
+
     /// Adds `delta` to the named counter, creating it at zero.
     pub fn inc_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        self.lock().inc_counter(name, delta);
     }
 
     /// Current value of a counter (zero if never incremented).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("registry poisoned");
-        inner.counters.get(name).copied().unwrap_or(0)
+        self.lock().counter(name)
     }
 
     /// Records a gauge sample at virtual time `at`.
     pub fn set_gauge(&self, name: &str, at: Time, value: f64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .push(at, value);
+        self.lock().set_gauge(name, at, value);
     }
 
     /// A copy of the named gauge series, if it exists.
@@ -192,12 +234,7 @@ impl MetricsRegistry {
 
     /// Records one duration into the named latency histogram.
     pub fn record_latency(&self, name: &str, dur: Span) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(dur);
+        self.lock().record_latency(name, dur);
     }
 
     /// Millisecond summary of the named histogram (all-zero when the
@@ -243,6 +280,77 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One metric update, as a test stream element.
+    #[derive(Clone, Copy)]
+    enum Update {
+        Counter(&'static str, u64),
+        Gauge(&'static str, u64, f64),
+        Latency(&'static str, u64),
+    }
+
+    impl Update {
+        fn name(self) -> &'static str {
+            match self {
+                Update::Counter(name, _) | Update::Gauge(name, _, _) | Update::Latency(name, _) => {
+                    name
+                }
+            }
+        }
+
+        fn apply(self, r: &mut RegistryUpdate<'_>) {
+            match self {
+                Update::Counter(name, delta) => r.inc_counter(name, delta),
+                Update::Gauge(name, at, value) => r.set_gauge(name, Time::from_nanos(at), value),
+                Update::Latency(name, ns) => r.record_latency(name, Span::from_nanos(ns)),
+            }
+        }
+    }
+
+    #[test]
+    fn first_insert_and_existing_key_updates_agree_with_a_fresh_registry() {
+        // Every name is first inserted, then updated under its existing
+        // key, interleaved across the three maps, several updates per
+        // lock as the metrics sink makes them.
+        let stream = [
+            Update::Counter("ops_total", 1),
+            Update::Gauge("queue_depth.data_queue", 10, 1.0),
+            Update::Latency("t3_op_ns", 1_500),
+            Update::Counter("ops_total", 4),
+            Update::Counter("batches_consumed_total", 1),
+            Update::Gauge("queue_depth.data_queue", 20, 1.0),
+            Update::Gauge("queue_depth.data_queue", 30, 3.0),
+            Update::Latency("t3_op_ns", 90_000),
+            Update::Latency("t2_batch_wait_ns", 7),
+            Update::Counter("batches_consumed_total", 2),
+            Update::Gauge("live_workers", 0, 2.0),
+            Update::Latency("t3_op_ns", 2_500_000),
+        ];
+        let streamed = MetricsRegistry::new();
+        for chunk in stream.chunks(3) {
+            let mut lock = streamed.lock();
+            chunk.iter().for_each(|u| u.apply(&mut lock));
+        }
+        // The reference: a fresh registry fed the same stream one name at
+        // a time, each update under its own lock, so every name's first
+        // insert happens with no other key present.
+        let fresh = MetricsRegistry::new();
+        let mut names: Vec<&str> = stream.iter().map(|u| u.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        for name in names {
+            for u in stream.iter().filter(|u| u.name() == name) {
+                u.apply(&mut fresh.lock());
+            }
+        }
+        let snapshot = streamed.snapshot();
+        assert_eq!(snapshot, fresh.snapshot());
+        assert_eq!(snapshot.counters["ops_total"], 5);
+        assert_eq!(snapshot.counters["batches_consumed_total"], 3);
+        assert_eq!(snapshot.gauges["queue_depth.data_queue"].samples().len(), 2);
+        assert_eq!(snapshot.histograms["t3_op_ns"].count, 3);
+        assert_eq!(streamed.lock().counter("ops_total"), 5);
+    }
 
     #[test]
     fn counters_accumulate_from_zero() {

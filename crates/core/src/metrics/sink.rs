@@ -589,7 +589,8 @@ impl TraceSink for MetricsSink {
     }
 
     fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        let r = &self.registry;
+        // One registry lock per event, however many metrics it updates.
+        let mut r = self.registry.lock();
         match *event {
             TraceEvent::Op { dur, .. } => {
                 r.inc_counter(names::OPS, 1);
@@ -650,11 +651,8 @@ impl TraceSink for MetricsSink {
             } => {
                 r.inc_counter(names::BATCHES_CONSUMED, 1);
                 r.inc_counter(names::SAMPLES_CONSUMED, batch_len as u64);
-                r.set_gauge(
-                    names::BATCHES_CONSUMED_SERIES,
-                    start + dur,
-                    r.counter(names::BATCHES_CONSUMED) as f64,
-                );
+                let consumed = r.counter(names::BATCHES_CONSUMED) as f64;
+                r.set_gauge(names::BATCHES_CONSUMED_SERIES, start + dur, consumed);
             }
             TraceEvent::FaultInjected { .. } => r.inc_counter(names::FAULTS_INJECTED, 1),
             TraceEvent::WorkerDied { at, .. } => {

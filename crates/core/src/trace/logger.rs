@@ -2,6 +2,7 @@
 //! DataLoader data flow.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -10,7 +11,7 @@ use lotus_sim::{ReadOutcome, Span, Time};
 
 use super::analysis::OpStats;
 use super::hist::LogHistogram;
-use super::record::{SpanKind, TraceRecord};
+use super::record::{log_line_len, op_label_len, storage_read_label_len, SpanKind, TraceRecord};
 
 /// How per-operation (\[T3\]) events are collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +70,8 @@ pub struct LotusTrace {
 struct OpAggregates {
     order: Vec<String>,
     by_name: HashMap<String, LogHistogram>,
+    /// Reused buffer the histogram name is written into for the lookup.
+    key: String,
 }
 
 impl LotusTrace {
@@ -103,20 +106,30 @@ impl LotusTrace {
         overhead
     }
 
-    /// [`OpLogMode::Aggregate`] path: account the record's bytes as if it
-    /// were written, then fold the duration into the named histogram.
-    fn fold_aggregate(&self, name: &str, dur: Span, record: &TraceRecord) -> Span {
-        self.log_bytes
-            .fetch_add(record.log_bytes(), Ordering::Relaxed);
+    /// [`OpLogMode::Aggregate`] path: account `log_bytes` (the bytes the
+    /// record would take if written), then fold the duration into the
+    /// histogram named `name`. The name is allocated only the first time
+    /// it is seen.
+    fn fold_aggregate(&self, name: fmt::Arguments<'_>, dur: Span, log_bytes: u64) -> Span {
+        self.log_bytes.fetch_add(log_bytes, Ordering::Relaxed);
         let mut agg = self.op_aggregates.lock().expect("trace poisoned");
-        if !agg.by_name.contains_key(name) {
-            agg.order.push(name.to_string());
-            agg.by_name.insert(name.to_string(), LogHistogram::new());
+        let OpAggregates {
+            order,
+            by_name,
+            key,
+        } = &mut *agg;
+        key.clear();
+        key.write_fmt(name)
+            .expect("writing to a String cannot fail");
+        match by_name.get_mut(key.as_str()) {
+            Some(hist) => hist.record(dur),
+            None => {
+                let mut hist = LogHistogram::new();
+                hist.record(dur);
+                order.push(key.clone());
+                by_name.insert(key.clone(), hist);
+            }
         }
-        agg.by_name
-            .get_mut(name)
-            .expect("just inserted")
-            .record(dur);
         self.charge(self.config.per_log_overhead)
     }
 
@@ -131,6 +144,13 @@ impl LotusTrace {
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
         self.records.lock().expect("trace poisoned").clone()
+    }
+
+    /// Runs `f` over the records collected so far, borrowed in place
+    /// instead of copied (the post-run folds only read them). The trace
+    /// is locked while `f` runs, so `f` must not record into it.
+    pub fn with_records<R>(&self, f: impl FnOnce(&[TraceRecord]) -> R) -> R {
+        f(&self.records.lock().expect("trace poisoned"))
     }
 
     /// Number of records collected.
@@ -151,7 +171,7 @@ impl LotusTrace {
     pub fn op_stats(&self) -> Vec<OpStats> {
         match self.config.op_mode {
             OpLogMode::Off => Vec::new(),
-            OpLogMode::Full => super::analysis::per_op_stats(&self.records()),
+            OpLogMode::Full => self.with_records(super::analysis::per_op_stats),
             OpLogMode::Aggregate => {
                 let agg = self.op_aggregates.lock().expect("trace poisoned");
                 agg.order
@@ -204,39 +224,33 @@ impl Tracer for LotusTrace {
                 queue_delay: Span::ZERO,
             }),
             OpLogMode::Aggregate => {
-                let record = TraceRecord {
-                    kind: SpanKind::Op(name.to_string()),
-                    pid,
-                    batch_id,
-                    start,
-                    duration: dur,
-                    out_of_order: false,
-                    queue_delay: Span::ZERO,
-                };
-                self.fold_aggregate(name, dur, &record)
+                let bytes = log_line_len(op_label_len(name), pid, start, dur, Span::ZERO);
+                self.fold_aggregate(format_args!("{name}"), dur, bytes)
             }
         }
     }
 
     fn on_storage_read(&self, pid: u32, batch_id: u64, start: Time, read: &ReadOutcome) -> Span {
-        let record = TraceRecord {
-            kind: SpanKind::StorageRead(read.tier.as_str().to_string()),
-            pid,
-            batch_id,
-            start,
-            duration: read.span,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        };
+        let tier = read.tier.as_str();
         match self.config.op_mode {
             // Storage reads are per-item events like ops, so they follow
             // the op collection mode: dropped when per-op tracing is off,
             // folded into a per-tier `T0(tier)` histogram when
             // aggregating.
             OpLogMode::Off => Span::ZERO,
-            OpLogMode::Full => self.push(record),
+            OpLogMode::Full => self.push(TraceRecord {
+                kind: SpanKind::StorageRead(tier.to_string()),
+                pid,
+                batch_id,
+                start,
+                duration: read.span,
+                out_of_order: false,
+                queue_delay: Span::ZERO,
+            }),
             OpLogMode::Aggregate => {
-                self.fold_aggregate(&format!("T0({})", read.tier), read.span, &record)
+                let label = storage_read_label_len(batch_id, tier);
+                let bytes = log_line_len(label, pid, start, read.span, Span::ZERO);
+                self.fold_aggregate(format_args!("T0({tier})"), read.span, bytes)
             }
         }
     }

@@ -62,6 +62,26 @@ impl SpanKind {
         }
     }
 
+    /// Byte length of [`SpanKind::label`], computed without formatting
+    /// it.
+    #[must_use]
+    pub(crate) fn label_len(&self, batch_id: u64) -> usize {
+        let id = decimal_len(batch_id);
+        match self {
+            SpanKind::StorageRead(tier) => storage_read_label_len(batch_id, tier),
+            SpanKind::BatchPreprocessed => "SBatchPreprocessed_".len() + id,
+            SpanKind::BatchWait => "SBatchWait_".len() + id,
+            SpanKind::BatchConsumed => "SBatchConsumed_".len() + id,
+            SpanKind::Op(name) => op_label_len(name),
+            SpanKind::FaultInjected(op) => "SFaultInjected__".len() + id + op.len(),
+            SpanKind::WorkerDied => "SWorkerDied".len(),
+            SpanKind::BatchRedispatched => "SBatchRedispatched_".len() + id,
+            SpanKind::BatchStolen => "SBatchStolen_".len() + id,
+            SpanKind::LaneAssigned(lane) => "SLaneAssigned__".len() + id + lane.len(),
+            SpanKind::PrefetchResized => "SPrefetchResized_".len() + id,
+        }
+    }
+
     /// True for the zero-duration fault/lifecycle/scheduling marks
     /// (rendered as instant events in the Chrome trace).
     #[must_use]
@@ -117,10 +137,18 @@ impl TraceRecord {
         )
     }
 
-    /// Size of the serialized record in bytes (log-storage accounting).
+    /// Size of the serialized record in bytes (log-storage accounting):
+    /// the length of [`TraceRecord::to_log_line`], computed without
+    /// building the line.
     #[must_use]
     pub fn log_bytes(&self) -> u64 {
-        self.to_log_line().len() as u64
+        log_line_len(
+            self.kind.label_len(self.batch_id),
+            self.pid,
+            self.start,
+            self.duration,
+            self.queue_delay,
+        )
     }
 
     /// End of the span.
@@ -158,6 +186,40 @@ impl TraceRecord {
             queue_delay: Span::from_nanos(queue_delay),
         })
     }
+}
+
+/// Number of decimal digits `n` prints with.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Byte length of the label `S{name}` of an [`SpanKind::Op`] record.
+pub(crate) fn op_label_len(name: &str) -> usize {
+    1 + name.len()
+}
+
+/// Byte length of the label `SStorageRead_{batch_id}_{tier}` of a
+/// [`SpanKind::StorageRead`] record.
+pub(crate) fn storage_read_label_len(batch_id: u64, tier: &str) -> usize {
+    "SStorageRead__".len() + decimal_len(batch_id) + tier.len()
+}
+
+/// Byte length of a [`TraceRecord::to_log_line`] line whose label is
+/// `label_len` bytes long: the label, five commas, the four numbers, the
+/// one-digit out-of-order flag and the newline.
+pub(crate) fn log_line_len(
+    label_len: usize,
+    pid: u32,
+    start: Time,
+    duration: Span,
+    queue_delay: Span,
+) -> u64 {
+    (label_len
+        + decimal_len(u64::from(pid))
+        + decimal_len(start.as_nanos())
+        + decimal_len(duration.as_nanos())
+        + decimal_len(queue_delay.as_nanos())
+        + "0,,,,,\n".len()) as u64
 }
 
 /// Parses a span label back into its kind and batch id (shared by the log

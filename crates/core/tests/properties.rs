@@ -25,6 +25,66 @@ fn arb_kind() -> impl Strategy<Value = SpanKind> {
     ]
 }
 
+/// Span-label payloads: empty, short, and long enough to need three
+/// decimal digits of length, with a multi-byte character in the mix.
+fn arb_name() -> impl Strategy<Value = String> {
+    prop_oneof![Just(String::new()), "[ -~é]{1,24}", "[ -~é]{200,400}",]
+}
+
+/// Every `SpanKind` variant.
+fn arb_any_kind() -> impl Strategy<Value = SpanKind> {
+    prop_oneof![
+        arb_name().prop_map(SpanKind::StorageRead),
+        Just(SpanKind::BatchPreprocessed),
+        Just(SpanKind::BatchWait),
+        Just(SpanKind::BatchConsumed),
+        arb_name().prop_map(SpanKind::Op),
+        arb_name().prop_map(SpanKind::FaultInjected),
+        Just(SpanKind::WorkerDied),
+        Just(SpanKind::BatchRedispatched),
+        Just(SpanKind::BatchStolen),
+        arb_name().prop_map(SpanKind::LaneAssigned),
+        Just(SpanKind::PrefetchResized),
+    ]
+}
+
+/// Integers of every decimal width, the extremes included.
+fn arb_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0),
+        Just(u64::MAX),
+        (any::<u64>(), 0u32..64).prop_map(|(x, shift)| x >> shift),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The computed log size is the length of the formatted line, which
+    /// stays the reference.
+    #[test]
+    fn log_bytes_is_the_log_line_length(
+        kind in arb_any_kind(),
+        pid in prop_oneof![Just(u32::MAX), (any::<u32>(), 0u32..32).prop_map(|(x, s)| x >> s)],
+        batch in arb_u64(),
+        start in arb_u64(),
+        dur in arb_u64(),
+        ooo in any::<bool>(),
+        queue_delay in arb_u64(),
+    ) {
+        let record = TraceRecord {
+            kind,
+            pid,
+            batch_id: batch,
+            start: Time::from_nanos(start),
+            duration: Span::from_nanos(dur),
+            out_of_order: ooo,
+            queue_delay: Span::from_nanos(queue_delay),
+        };
+        prop_assert_eq!(record.log_bytes(), record.to_log_line().len() as u64);
+    }
+}
+
 proptest! {
     #[test]
     fn batch_log_lines_round_trip(

@@ -14,8 +14,8 @@ use crate::config::{DataLoaderConfig, GpuConfig};
 use crate::dataset::Dataset;
 use crate::error::JobError;
 use crate::protocol::{
-    kill_times, run_main_loop, worker_os_pid, BatchPayload, Depths, Driver, Envelope, EpochPlan,
-    FetchObserver, Fetcher, WorkerMsg,
+    index_queue_gauge, kill_times, run_main_loop, worker_os_pid, BatchPayload, Depths, Driver,
+    Envelope, EpochPlan, FetchObserver, Fetcher, WorkerMsg,
 };
 use crate::tracer::Tracer;
 
@@ -355,6 +355,7 @@ fn worker_loop(
     );
     let kill_time = faults.kill_time(&ctx.name());
     let queue_factor = faults.queue_factor("data_queue");
+    let index_gauge = index_queue_gauge(worker);
 
     loop {
         // A killed worker dies silently: the main process discovers it via
@@ -376,11 +377,7 @@ fn worker_loop(
         };
         // Sample this worker's index-queue depth right after the pop: the
         // metrics layer sees every depth transition in virtual time.
-        let oh = tracer.on_gauge(
-            &format!("queue_depth.index_queue_{worker}"),
-            index_q.len() as f64,
-            ctx.now(),
-        );
+        let oh = tracer.on_gauge(&index_gauge, index_q.len() as f64, ctx.now());
         if !oh.is_zero() {
             ctx.delay(oh);
         }

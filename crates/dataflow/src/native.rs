@@ -44,8 +44,8 @@ use crate::dataset::Dataset;
 use crate::error::JobError;
 use crate::loader::{JobReport, LoaderMutation, TrainingJob};
 use crate::protocol::{
-    kill_times, run_main_loop, worker_os_pid, BatchPayload, Depths, Driver, Envelope, EpochPlan,
-    FetchObserver, Fetcher, WorkerMsg, MAIN_OS_PID,
+    index_queue_gauge, kill_times, run_main_loop, worker_os_pid, BatchPayload, Depths, Driver,
+    Envelope, EpochPlan, FetchObserver, Fetcher, WorkerMsg, MAIN_OS_PID,
 };
 use crate::tracer::Tracer;
 
@@ -691,6 +691,7 @@ fn native_worker_loop<C: TimeSource>(
         fetcher.cpu.attach_native_feed(f);
     }
     let os_pid = worker_os_pid(worker);
+    let index_gauge = index_queue_gauge(worker);
 
     loop {
         let msg = match kill_time {
@@ -709,7 +710,6 @@ fn native_worker_loop<C: TimeSource>(
         let WorkerMsg::Batch { id, indices } = msg else {
             break;
         };
-        let index_gauge = format!("queue_depth.index_queue_{worker}");
         let index_depth = index_q.audited_len(&index_gauge);
         emit_gauge(tracer, clock, &index_gauge, index_depth as f64);
         let start = clock.now();

@@ -19,6 +19,7 @@
 //! `lotus audit`.
 
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use lotus_data::mix_seed;
@@ -44,6 +45,12 @@ pub const MAIN_OS_PID: u32 = 4242;
 #[must_use]
 pub fn worker_os_pid(worker: usize) -> u32 {
     MAIN_OS_PID + 1 + worker as u32
+}
+
+/// Name of the gauge sampling worker `w`'s index-queue depth. Built once
+/// per worker by each emitter, not per batch.
+pub(crate) fn index_queue_gauge(worker: usize) -> String {
+    format!("queue_depth.index_queue_{worker}")
 }
 
 /// Serialized size of an error envelope: a pickled `ExceptionWrapper`
@@ -494,6 +501,7 @@ pub(crate) fn run_main_loop<D: Driver>(
         driver,
         tracer,
         dispatcher: Dispatcher::new(batches, workers, loader, hints),
+        index_gauges: (0..workers).map(index_queue_gauge).collect(),
         marker: None,
     };
     // Initial prefetch: `prefetch_factor` index batches per worker.
@@ -580,6 +588,9 @@ struct MainLoop<'a, D> {
     driver: D,
     tracer: &'a dyn Tracer,
     dispatcher: Dispatcher,
+    /// Each worker's [`index_queue_gauge`] name, shared so one can be
+    /// borrowed across a `&mut self` call.
+    index_gauges: Rc<[String]>,
     /// Start of the latest cache-served wait marker.
     marker: Option<Time>,
 }
@@ -723,7 +734,8 @@ impl<D: Driver> MainLoop<'_, D> {
             },
         );
         self.driver.overhead(oh);
-        self.gauge_depth(Some(w), &format!("queue_depth.index_queue_{w}"));
+        let names = Rc::clone(&self.index_gauges);
+        self.gauge_depth(Some(w), &names[w]);
         self.audited_gauge("in_flight_batches", self.dispatcher.in_flight.len());
     }
 

@@ -184,6 +184,21 @@ impl Machine {
             .clone()
     }
 
+    /// Looks up a kernel's cost coefficients by id: the per-charge
+    /// lookup, which copies them out without cloning the spec's names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this machine.
+    #[must_use]
+    pub fn kernel_cost(&self, id: KernelId) -> CostCoeffs {
+        self.registry
+            .read()
+            .expect("registry poisoned")
+            .spec(id)
+            .cost
+    }
+
     /// Looks up a kernel id by function name, if registered.
     #[must_use]
     pub fn kernel_by_name(&self, name: &str) -> Option<KernelId> {

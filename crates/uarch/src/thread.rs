@@ -107,7 +107,9 @@ impl CpuThread {
     /// native feed is attached, so unprofiled runs pay nothing.
     pub fn set_op_context(&mut self, op: &str) {
         if self.native_feed.is_some() {
-            self.op_context = Some(op.to_string());
+            let buf = self.op_context.get_or_insert_with(String::new);
+            buf.clear();
+            buf.push_str(op);
         }
     }
 
@@ -154,8 +156,8 @@ impl CpuThread {
     /// Like [`CpuThread::exec`] but with an explicit load value (used by
     /// tests and the isolation harness, which runs alone on the machine).
     pub fn exec_at_load(&mut self, kernel: KernelId, work: f64, load: f64) -> KernelCost {
-        let spec = self.machine.kernel_spec(kernel);
-        let cost = evaluate(self.machine.config(), &spec.cost, work, load);
+        let coeffs = self.machine.kernel_cost(kernel);
+        let cost = evaluate(self.machine.config(), &coeffs, work, load);
         if let Some(profiler) = &self.profiler {
             self.recent.make_contiguous();
             profiler.record(self.recent.as_slices().0, kernel, self.cursor, &cost);

@@ -297,14 +297,15 @@ pub fn run_experiment(
             agreement,
         }
     });
-    let storage =
-        storage_handle.map(|s| StorageAttribution::from_run(&s.counters(), &trace.records()));
+    let storage = storage_handle.map(|s| {
+        trace.with_records(|records| StorageAttribution::from_run(&s.counters(), records))
+    });
     let measurement = TrialMeasurement {
         elapsed: report.elapsed,
         batches: report.batches,
         samples: report.samples,
         snapshot: registry.snapshot(),
-        op_classes: op_class_totals(&trace.records()),
+        op_classes: trace.with_records(op_class_totals),
     };
     let scorecard = Scorecard::from_measurement(trial, &measurement);
     Ok(RunOutcome {

@@ -166,7 +166,7 @@ pub fn run_trial(
         batches: report.batches,
         samples: report.samples,
         snapshot: registry.snapshot(),
-        op_classes: op_class_totals(&trace.records()),
+        op_classes: trace.with_records(op_class_totals),
     })
 }
 
